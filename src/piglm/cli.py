@@ -22,9 +22,8 @@ from .errors import BoundaryError, ConvergenceError, DomainError, MixingError, \
     ParseError, PiglmError, SupportError
 from .glm import fit_irls, likelihood_surface, quadraticity_diagnostic
 from .inference import pi_value_analytic, pi_value_from_grid, pi_value_from_samples, \
-    tail_comparison, wald_pvalue
-from .io import bundled_trials_path, emit_plot_csv, emit_result_json, parse_trial_csv, \
-    trial_model_data
+    wald_pvalue
+from .io import bundled_trials_path, emit_plot_csv, parse_trial_csv, trial_model_data
 from .numerics import RngStream
 from .posterior import grid_posterior, laplace_posterior, rw_metropolis, vectorized_loglik
 from .priors import PriorSpec, local_uniformity_check, prior_pdf

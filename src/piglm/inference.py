@@ -13,10 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegreesOfFreedomError, DomainError
+from .errors import DegeneracyError, DegreesOfFreedomError, DomainError
 from .glm import FitResult
 from .numerics import (
-    MixtureModel1D,
     RngStream,
     fit_gaussian_mixture_1d,
     mixture_tail_pi,
@@ -115,7 +114,8 @@ def pi_value_from_samples(samples: Sequence[float], beta0: float = 0.0,
     """pi-value from posterior draws.
 
     'empirical' counts tail fractions (floor 2/N); 'mixture' smooths the draws
-    with a Gaussian mixture first, so extreme tails do not underflow to zero.
+    with a Gaussian mixture first, so extreme tails do not underflow to zero;
+    identical draws (``DegeneracyError``) fall back to the empirical value.
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
@@ -136,13 +136,12 @@ def pi_value_from_samples(samples: Sequence[float], beta0: float = 0.0,
         raise DomainError("mixture smoothing needs at least 1000 samples")
     try:
         model = fit_gaussian_mixture_1d(x - beta0, stream=stream)
-        pi = min(1.0, mixture_tail_pi(model))
-        return TailReport(z=z, direction=direction, p_or_pi=pi,
-                          method="posterior_mixture")
-    except Exception:
+    except DegeneracyError:
         return TailReport(z=z, direction=direction, p_or_pi=pi_emp,
                           method="posterior_empirical",
                           notes="mixture fit degenerate; fell back to empirical")
+    pi = min(1.0, mixture_tail_pi(model))
+    return TailReport(z=z, direction=direction, p_or_pi=pi, method="posterior_mixture")
 
 
 def direction_estimate(pi: float, direction: str) -> float:

@@ -155,13 +155,17 @@ class MixtureModel1D:
         return out if np.ndim(out) else float(out)
 
 
-def _em_batch(x, w, m, s, tol, max_iter, sd_floor, track_path=False):
+def _em_batch(x, w, m, s, tol, max_iter, sd_floor):
     """EM on a batch of starting points simultaneously.
 
-    ``w``, ``m``, ``s`` have shape (n_starts, g); each start iterates with the
-    same log-domain E step (underflow-safe for far-out samples) and freezes
-    once its own log likelihood stalls. Returns (w, m, s, ll, iters, ll_path)
-    with ll of shape (n_starts,); ll_path tracks start 0 only.
+    ``w``, ``m``, ``s`` have shape (n_starts, g). The working arrays have
+    shape (active starts, g, n), with the draws on the innermost, contiguous
+    axis: the E step's log-sum-exp is a max-shift over the short component
+    axis (underflow-safe for far-out samples), and the M-step sums run along
+    the draws. Each start freezes once its own log likelihood stalls
+    (relative gain below ``tol``) or after ``max_iter`` iterations. Returns
+    (w, m, s, ll, iters, ll_path) with ll of shape (n_starts,); ll_path
+    tracks start 0 only.
     """
     n = x.size
     S = w.shape[0]
@@ -170,27 +174,34 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, track_path=False):
     iters = np.zeros(S, dtype=int)
     active = np.ones(S, dtype=bool)
     ll_path = []
-    xb = x[None, :, None]
+    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
     for it in range(1, max_iter + 1):
         idx = np.flatnonzero(active)
-        logcomp = (
-            np.log(w[idx, None, :])
-            - 0.5 * ((xb - m[idx, None, :]) / s[idx, None, :]) ** 2
-            - np.log(s[idx, None, :])
-            - 0.5 * math.log(2.0 * math.pi)
-        )
-        lognorm = special.logsumexp(logcomp, axis=2)
-        ll_new = lognorm.sum(axis=1)
-        r = np.exp(logcomp - lognorm[:, :, None])
-        nk = np.maximum(r.sum(axis=1), 1e-300)
+        # E step: log component densities, then responsibilities, in place
+        r = x - m[idx, :, None]
+        r /= s[idx, :, None]
+        r *= r
+        r *= -0.5
+        r += (np.log(w[idx]) - np.log(s[idx]) - half_log_2pi)[:, :, None]
+        top = r.max(axis=1)
+        r -= top[:, None, :]
+        np.exp(r, out=r)
+        tot = r.sum(axis=1)
+        r /= tot[:, None, :]
+        ll_new = (np.log(tot) + top).sum(axis=1)
+        # M step: sums over the draws axis
+        nk = np.maximum(r.sum(axis=2), 1e-300)
+        mk = (r @ x) / nk
+        dev = x - mk[:, :, None]
+        dev *= dev
+        dev *= r
         w[idx] = nk / n
-        m[idx] = (r * xb).sum(axis=1) / nk
-        var = (r * (xb - m[idx, None, :]) ** 2).sum(axis=1) / nk
-        s[idx] = np.maximum(np.sqrt(var), sd_floor)
+        m[idx] = mk
+        s[idx] = np.maximum(np.sqrt(dev.sum(axis=2) / nk), sd_floor)
         done = (ll_new - ll[idx] < tol * (np.abs(ll_new) + 1.0)) & (it > 1)
         ll[idx] = ll_new
         iters[idx] = it
-        if track_path and active[0]:
+        if active[0]:
             ll_path.append(float(ll[0]))
         active[idx[done]] = False
         if not active.any():
@@ -198,56 +209,50 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, track_path=False):
     return w, m, s, ll, iters, ll_path
 
 
-def _em_once(x, g, means0, sds0, weights0, tol, max_iter, sd_floor):
-    """Run EM from one starting point; returns (weights, means, sds, ll, iters, ll_path)."""
-    w, m, s, ll, iters, path = _em_batch(
-        x,
-        np.atleast_2d(np.asarray(weights0, dtype=float)).copy(),
-        np.atleast_2d(np.asarray(means0, dtype=float)).copy(),
-        np.atleast_2d(np.asarray(sds0, dtype=float)).copy(),
-        tol, max_iter, sd_floor, track_path=True,
-    )
-    return w[0], m[0], s[0], float(ll[0]), int(iters[0]), path
-
-
 def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
                             max_iter=500, stream=None, return_ll_path=False):
     """Fit unequal-variance Gaussian mixtures for G = 1..g_max, pick best BIC.
 
-    Initialization: quantile-spaced means with pooled sd and equal weights,
-    plus ``n_restarts`` random restarts per G. The component-sd floor is
-    1e-6 x sample sd to keep components from collapsing on a point.
+    G = 1 is fitted in closed form (mean, population sd, normal log
+    likelihood; ``n_iter`` 1, a one-entry ll path). Each G > 1 runs EM
+    (``_em_batch``) from quantile-spaced means with pooled sd and equal
+    weights, plus ``n_restarts`` random restarts; every start stops on its
+    own relative log-likelihood gain below ``tol`` or at ``max_iter``. The
+    component-sd floor is 1e-6 x sample sd to keep components from
+    collapsing on a point. The scan over G stops once BIC worsens.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 50:
         raise DegeneracyError("need at least 50 samples for mixture fitting")
     if g_max < 1:
         raise DomainError("g_max must be >= 1")
-    sd_all = float(x.std())
-    if sd_all == 0.0:
+    if x.min() == x.max():
         raise DegeneracyError("all samples identical; mixture fit undefined")
+    sd_all = float(x.std())
     sd_floor = 1e-6 * sd_all
     rng = (stream or RngStream(0)).generator()
     n = x.size
-    best = None
-    best_path = None
-    for g in range(1, g_max + 1):
+    # G = 1 in closed form: EM from any start lands on this fit
+    mean = x.sum() / n
+    sd = max(math.sqrt(((x - mean) ** 2).sum() / n), sd_floor)
+    ll1 = float((-0.5 * ((x - mean) / sd) ** 2 - np.log(sd) - 0.5 * math.log(2.0 * math.pi)).sum())
+    best = MixtureModel1D(np.ones(1), np.array([mean]), np.array([sd]), ll1,
+                          -2.0 * ll1 + 2.0 * math.log(n), 1)
+    best_path = [ll1]
+    for g in range(2, g_max + 1):
         means0 = [np.quantile(x, (np.arange(g) + 0.5) / g)]
         sds0 = [np.full(g, sd_all)]
-        if g > 1:
-            for _ in range(n_restarts):
-                idx = rng.choice(n, size=g, replace=False)
-                means0.append(x[idx].astype(float))
-                sds0.append(np.full(g, sd_all) * rng.uniform(0.3, 1.5))
+        for _ in range(n_restarts):
+            idx = rng.choice(n, size=g, replace=False)
+            means0.append(x[idx].astype(float))
+            sds0.append(np.full(g, sd_all) * rng.uniform(0.3, 1.5))
         S = len(means0)
-        w, m, s, ll, iters, path = _em_batch(
-            x, np.full((S, g), 1.0 / g), np.array(means0), np.array(sds0),
-            tol, max_iter, sd_floor, track_path=True,
-        )
+        w, m, s, ll, iters, path = _em_batch(x, np.full((S, g), 1.0 / g), np.array(means0),
+                                             np.array(sds0), tol, max_iter, sd_floor)
         k_free = 3 * g - 1
         i_best = int(np.argmax(ll))
         bic = -2.0 * float(ll[i_best]) + k_free * math.log(n)
-        if best is None or bic < best.bic:
+        if bic < best.bic:
             order = np.argsort(m[i_best])
             best = MixtureModel1D(w[i_best][order], m[i_best][order], s[i_best][order],
                                   float(ll[i_best]), bic, int(iters[i_best]))

@@ -137,8 +137,9 @@ def finite_world_bounds(link, y_range: Tuple[float, float],
     if len(x_ranges) != p:
         raise DomainError("need one covariate range per parameter")
     try:
-        eta_lo = float(link.g(np.asarray(y_lo, dtype=float)))
-        eta_hi = float(link.g(np.asarray(y_hi, dtype=float)))
+        with np.errstate(invalid="raise", divide="raise"):
+            eta_lo = float(link.g(np.asarray(y_lo, dtype=float)))
+            eta_hi = float(link.g(np.asarray(y_hi, dtype=float)))
     except (ValueError, FloatingPointError):
         raise DomainError("y_range outside the link's domain") from None
     if not (math.isfinite(eta_lo) and math.isfinite(eta_hi)):

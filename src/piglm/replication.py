@@ -20,7 +20,7 @@ from scipy import integrate
 
 from .errors import BoundaryError, DomainError, HarnessError
 from .glm import FitResult, ModelData, _resolve, fit_irls
-from .inference import pi_value_from_samples, wald_pvalue
+from .inference import pi_value_from_grid, wald_pvalue
 from .numerics import RngStream, std_normal_cdf, std_normal_quantile
 from .posterior import LaplacePosterior, ScaleMarginal, grid_posterior, vectorized_loglik
 
@@ -223,7 +223,6 @@ class ReplicationConfig:
     scale_dof: Optional[int] = None                 # override for the scale-marginal dof
     n_workers: int = 1
     bayes_resolution: int = 201
-    bayes_draws: int = 4000
 
     def __post_init__(self):
         if self.n_sim < 100:
@@ -254,8 +253,7 @@ def _bayes_priors(tag, p):
 
 def _one_replicate(r, family, link, data, beta_hat, cov_u, scale_marginal,
                    config: ReplicationConfig, chol):
-    stream = config.seed.child(r + 1)
-    rng = stream.generator()
+    rng = config.seed.child(r + 1).generator()
     record = {"replicate": r, "failed": False, "failure_reason": ""}
     phi_init = 1.0
     if scale_marginal is not None:
@@ -316,13 +314,9 @@ def _one_replicate(r, family, link, data, beta_hat, cov_u, scale_marginal,
             key = tag if isinstance(tag, str) else tag[0]
             if not gp.proper:
                 record[f"{key}_pi"] = None
-                record[f"{key}_draw"] = None
                 continue
-            draws = gp.sample(config.bayes_draws, stream.child((r + 1) + (1 << 32)))
-            record[f"{key}_draw"] = draws[0]
-            rep = pi_value_from_samples(draws[:, config.target_index], 0.0,
-                                        method="mixture",
-                                        stream=stream.child((r + 1) + (1 << 33)))
+            # marginal(-1) would integrate out every axis, so normalise the index
+            rep = pi_value_from_grid(gp, config.target_index % data.p)
             record[f"{key}_pi"] = rep.p_or_pi
     return record
 

@@ -89,6 +89,21 @@ class TestPiValue:
         assert rep.p_or_pi == pytest.approx(exact, rel=0.5)
         assert rep.p_or_pi < 2.0 / 5000        # below the empirical resolution
 
+    def test_mixture_degenerate_falls_back_to_empirical(self):
+        # the float std of these draws is 1.1e-16, not 0
+        rep = pi_value_from_samples(np.full(1000, 0.3), method="mixture")
+        assert rep.method == "posterior_empirical"
+        assert rep.notes == "mixture fit degenerate; fell back to empirical"
+        assert rep.p_or_pi == 2.0 / 1000
+
+    def test_mixture_other_errors_propagate(self, rng, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError("broken fit")
+
+        monkeypatch.setattr(pg.inference, "fit_gaussian_mixture_1d", broken_fit)
+        with pytest.raises(RuntimeError, match="broken fit"):
+            pi_value_from_samples(rng.normal(1.0, 1.0, 1000), method="mixture")
+
     def test_no_samples(self):
         with pytest.raises(pg.DomainError):
             pi_value_from_samples([])

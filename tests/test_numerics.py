@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 import piglm as pg
 from piglm.numerics import (
@@ -172,6 +173,33 @@ class TestMixture:
         assert model.count == 1
         expected = 2.0 * std_normal_cdf(-abs(model.means[0]) / model.sds[0])
         assert pg.mixture_tail_pi(model) == pytest.approx(expected, rel=1e-12)
+
+    def test_single_component_closed_form_oracle(self, rng):
+        x = rng.normal(0.7, 1.3, 3000)
+        model = pg.fit_gaussian_mixture_1d(x, g_max=1)
+        assert model.weights.tolist() == [1.0]
+        assert model.means[0] == pytest.approx(x.mean(), rel=1e-12)
+        assert model.sds[0] == pytest.approx(x.std(), rel=1e-12)
+        expected_ll = stats.norm.logpdf(x, x.mean(), x.std()).sum()
+        assert model.loglik == pytest.approx(expected_ll, rel=1e-12)
+
+    def test_em_fit_is_a_fixed_point_of_one_m_step(self):
+        # responsibilities from scipy's normal density, then one M step by hand;
+        # EM stops on a relative log-likelihood gain of 1e-8, so the residual
+        # step scales with its convergence rate: the components are well apart
+        gen = np.random.default_rng(31)
+        x = np.concatenate([gen.normal(-1.5, 0.6, 2500), gen.normal(2.5, 0.5, 1500)])
+        model = pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(1, 6))
+        assert model.count == 2
+        dens = model.weights * stats.norm.pdf(x[:, None], model.means, model.sds)
+        r = dens / dens.sum(axis=1, keepdims=True)
+        nk = r.sum(axis=0)
+        means = r.T @ x / nk
+        sds = np.sqrt((r * (x[:, None] - means) ** 2).sum(axis=0) / nk)
+        assert nk / x.size == pytest.approx(model.weights, abs=1e-6)
+        assert means == pytest.approx(model.means, abs=1e-6)
+        assert sds == pytest.approx(model.sds, abs=1e-6)
+        assert model.loglik == pytest.approx(np.log(dens.sum(axis=1)).sum(), rel=1e-10)
 
     def test_degenerate_inputs(self):
         with pytest.raises(pg.DegeneracyError):

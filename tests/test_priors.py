@@ -25,6 +25,7 @@ class TestFiniteWorldBounds:
         with pytest.raises(pg.DomainError):
             pg.finite_world_bounds("log", (0.1, 10.0), [(-1.0, 1.0)], 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_y_range_outside_link_domain(self):
         with pytest.raises(pg.DomainError):
             pg.finite_world_bounds("log", (-1.0, 10.0), [(1.0, 1.0)], 1)

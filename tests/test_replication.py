@@ -189,7 +189,7 @@ class TestHarness:
         data, fit = credence_primary
         cfg = ReplicationConfig(n_sim=100, seed=pg.RngStream(21),
                                 analyses=("ml", "bayes_flat"),
-                                bayes_resolution=101, bayes_draws=1000)
+                                bayes_resolution=101)
         rep = run_replication(fit, "poisson", "log", data, cfg)
         med = rep.summaries["bayes_flat_pi_median"]
         assert 0.0 < med < 1.0
