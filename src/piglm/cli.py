@@ -34,6 +34,13 @@ EXIT_DOMAIN = 2
 EXIT_FLAGGED = 3
 EXIT_USAGE = 64
 
+# Upper limits on the sizes a command allocates, checked while the options are
+# parsed, before any data is loaded. A 2001^2 posterior grid holds 4e6 points,
+# a replicate batch holds (n_sim, n, p) arrays, and a chain stores every step.
+MAX_RESOLUTION = 2001
+MAX_N_SIM = 100_000
+MAX_N_ITER = 200_000
+
 
 def _load(data_path, study, outcome, exposure_scale):
     path = data_path or bundled_trials_path()
@@ -132,9 +139,10 @@ def fit(data_path, study, outcome, exposure_scale, seed, out_path, allow_boundar
               show_default=True, help="Treatment-effect prior for the grid method.")
 @click.option("--prior-df", default=2.5, show_default=True)
 @click.option("--prior-scale", default=1.0, show_default=True)
-@click.option("--resolution", default=801, show_default=True)
-@click.option("--n-iter", default=80000, show_default=True)
-@click.option("--burn-in", default=20000, show_default=True)
+@click.option("--resolution", default=801, show_default=True,
+              type=click.IntRange(max=MAX_RESOLUTION))
+@click.option("--n-iter", default=80000, show_default=True, type=click.IntRange(max=MAX_N_ITER))
+@click.option("--burn-in", default=20000, show_default=True, type=click.IntRange(max=MAX_N_ITER))
 def posterior(data_path, study, outcome, exposure_scale, seed, out_path,
               allow_boundary, method, prior, prior_df, prior_scale, resolution,
               n_iter, burn_in):
@@ -192,7 +200,8 @@ def posterior(data_path, study, outcome, exposure_scale, seed, out_path,
 @cli.command()
 @common_options
 @click.option("--half-width", default=3.0, show_default=True)
-@click.option("--resolution", default=61, show_default=True)
+@click.option("--resolution", default=61, show_default=True,
+              type=click.IntRange(max=MAX_RESOLUTION))
 @click.option("--anchor", default=None, help="b0,b1 center for boundary fits.")
 @click.option("--grid-out", type=click.Path(), default=None,
               help="Write the surface grid CSV here.")
@@ -263,7 +272,8 @@ def predict_pi_cmd(pi_val, seed, out_path):
 @cli.command()
 @click.option("--pi-init", required=True, type=float)
 @click.option("--cap", default=30.0, show_default=True)
-@click.option("--resolution", default=2001, show_default=True)
+@click.option("--resolution", default=2001, show_default=True,
+              type=click.IntRange(max=MAX_RESOLUTION))
 @click.option("--seed", default=20260824, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--curve-out", type=click.Path(), default=None,
@@ -288,14 +298,13 @@ def rpd(pi_init, cap, resolution, seed, out_path, curve_out):
 
 @cli.command()
 @common_options
-@click.option("--n-sim", default=1000, show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@click.option("--n-sim", default=1000, show_default=True, type=click.IntRange(max=MAX_N_SIM))
 def replicate(data_path, study, outcome, exposure_scale, seed, out_path,
-              allow_boundary, n_sim, workers):
+              allow_boundary, n_sim):
     """Hierarchical replicate simulation (ML analysis of each replicate)."""
     data, meta = _load(data_path, study, outcome, exposure_scale)
     res = fit_irls("poisson", "log", data)
-    config = ReplicationConfig(n_sim=n_sim, seed=RngStream(seed), n_workers=workers)
+    config = ReplicationConfig(n_sim=n_sim, seed=RngStream(seed))
     report = run_replication(res, "poisson", "log", data, config)
     payload = {"meta": meta, "n_sim": n_sim, "summaries": report.summaries}
     _finish(payload, out_path, seed)
@@ -311,7 +320,8 @@ def replicate(data_path, study, outcome, exposure_scale, seed, out_path,
 @click.option("--scale-s", default=None, type=float)
 @click.option("--interval", default="-50,50", show_default=True,
               help="Interval for the local-uniformity check and density grid.")
-@click.option("--resolution", default=1001, show_default=True)
+@click.option("--resolution", default=1001, show_default=True,
+              type=click.IntRange(max=MAX_RESOLUTION))
 @click.option("--seed", default=20260824, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--grid-out", type=click.Path(), default=None)

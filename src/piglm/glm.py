@@ -13,7 +13,7 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import linalg, optimize, special
+from scipy import optimize, special
 
 from .errors import (
     ConvergenceError,
@@ -34,6 +34,8 @@ __all__ = [
     "log_likelihood",
     "score",
     "fit_irls",
+    "fit_irls_batch",
+    "BatchFit",
     "deviance",
     "scale_estimates",
     "saddlepoint_logpdf",
@@ -266,8 +268,7 @@ def deviance(family, data: ModelData, mu_hat) -> float:
     family = _resolve_family(family)
     mu_hat = np.asarray(mu_hat, dtype=float)
     family.check_mu(mu_hat)
-    d = family.unit_deviance(data.y, mu_hat)
-    return float(np.sum(data.weights * d))
+    return float(_row_deviance(family, data.y, mu_hat, data.weights))
 
 
 def _resolve_family(family) -> Family:
@@ -289,78 +290,197 @@ def _resolve(family, link):
         raise DomainError(f"unknown link {link!r}") from None
 
 
-def _start_mu(family: Family, data: ModelData):
-    y = data.y
+def _start_mu(family: Family, y, weights):
     if family.name == "poisson":
         return np.where(y > 0, y, 0.5)
     if family.name == "binomial":
-        m = data.weights
-        return (y * m + 0.5) / (m + 1.0)
+        return (y * weights + 0.5) / (weights + 1.0)
     if family.name == "gamma":
         return np.maximum(y, 1e-8)
     return y.astype(float)
 
 
-def fit_irls(family, link, data: ModelData, tol=1e-8, max_iter=50) -> FitResult:
-    """Fit by iteratively reweighted least squares (Fisher scoring).
+def _row_deviance(family: Family, y, mu, weights):
+    return np.sum(weights * family.unit_deviance(y, mu), axis=-1)
 
+
+def _back_substitute(R, b):
+    """Solve the upper-triangular systems R[i] x[i] = b[i], one column at a time.
+
+    For p <= 2 this reproduces LAPACK's trtrs bit for bit.
+    """
+    b = b.copy()
+    x = np.empty_like(b)
+    for j in range(b.shape[1] - 1, -1, -1):
+        x[:, j] = b[:, j] / R[:, j, j]
+        if j:
+            b[:, :j] -= R[:, :j, j] * x[:, j, None]
+    return x
+
+
+@dataclasses.dataclass(frozen=True)
+class BatchFit:
+    """Per-replicate outcome of ``fit_irls_batch``; row r belongs to ``Y[r]``.
+
+    Rows whose start mean left the family domain (``start_ok`` False) or that
+    never accepted a step (``stepped`` False) carry NaN estimates.
+    """
+
+    beta_hat: np.ndarray       # (R, p)
+    cov_unscaled: np.ndarray   # (R, p, p), (X' W X)^{-1} at beta_hat
+    deviance: np.ndarray       # (R,)
+    mu: np.ndarray             # (R, n) fitted means
+    iterations: np.ndarray     # (R,)
+    converged: np.ndarray      # (R,) bool
+    boundary: np.ndarray       # (R,) bool
+    start_ok: np.ndarray       # (R,) bool
+    stepped: np.ndarray        # (R,) bool
+
+
+def fit_irls_batch(family, link, Y, X, offset=None, weights=None,
+                   tol=1e-8, max_iter=50) -> BatchFit:
+    """Fisher scoring on every row of a response array Y (R, n) at once.
+
+    X (n, p), the offset and the prior weights are shared. Each row follows
+    exactly the path it would follow alone: its own step-halving, stopping
+    rule and boundary tests; rows leave the active set as they finish.
     Convergence requires both a relative deviance change below 1e-10 and a
     score infinity-norm below ``tol`` (at phi = 1; the scale cancels from the
     score equations for all four families). Estimates drifting past the
-    divergence guard, mean underflow, or step-halving failure set
-    ``boundary=True`` instead of raising.
+    divergence guard, mean underflow, step-halving failure or a singular
+    information matrix set ``boundary`` instead of raising.
+    """
+    family, link = _resolve(family, link)
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    X = np.asarray(X, dtype=float)
+    n, p = X.shape
+    n_rep = Y.shape[0]
+    off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    mu0 = _start_mu(family, Y, w)
+    start_ok = family.in_domain(mu0).all(axis=1)
+    beta = np.full((n_rep, p), np.nan)
+    eta_out = np.full((n_rep, n), np.nan)
+    mu_out = np.full((n_rep, n), np.nan)
+    dev_out = np.full(n_rep, np.nan)
+    iterations = np.zeros(n_rep, dtype=int)
+    converged = np.zeros(n_rep, dtype=bool)
+    boundary = np.zeros(n_rep, dtype=bool)
+    XT = X.T
+
+    def try_step(c, y, d0):
+        """Linear predictor, means, deviance and acceptance of candidate rows c."""
+        e = np.matmul(X, c[:, :, None])[:, :, 0] + off
+        m = link.ginv(e)
+        ok = family.in_domain(m).all(axis=1) & np.isfinite(m).all(axis=1)
+        if ok.all():
+            d = _row_deviance(family, y, m, w)
+        else:
+            d = np.full(len(c), np.nan)
+            d[ok] = _row_deviance(family, y[ok], m[ok], w)
+        ok = np.isfinite(d)
+        if d0 is not None:
+            ok &= d <= d0 + 1e-8 * (np.abs(d0) + 1.0)
+        return e, m, d, ok
+
+    # State of the active rows (indices ``act``); a row's final state is
+    # written out, and the row dropped, in the iteration that finishes it.
+    act = np.flatnonzero(start_ok)
+    y, mu = Y[act], mu0[act]
+    eta = link.g(mu)
+    dev = _row_deviance(family, y, mu, w)
+    b = np.full((act.size, p), np.nan)
+    it = 0
+    for it in range(1, max_iter + 1):
+        if act.size == 0:
+            break
+        gp = link.gprime(mu)
+        W = w / (family.variance(mu) * gp**2)
+        z = (eta - off) + (y - mu) * gp
+        sw = np.sqrt(W)
+        Q, R = np.linalg.qr(sw[:, :, None] * X)
+        beta_new = _back_substitute(R, np.matmul(Q.transpose(0, 2, 1), (sw * z)[:, :, None])[:, :, 0])
+        frac = 1.0
+        c = beta_new if it == 1 else b + frac * (beta_new - b)
+        e, m, d, ok = try_step(c, y, None if it == 1 else dev)
+        failed = ~ok
+        # step-halve each row whose proposal leaves the domain or worsens its
+        # deviance; the first step has no previous estimate to halve toward
+        if it > 1 and failed.any():
+            bad = np.flatnonzero(failed)
+            for _ in range(24):
+                frac *= 0.5
+                cb = b[bad] + frac * (beta_new[bad] - b[bad])
+                eb, mb, db, ok = try_step(cb, y[bad], dev[bad])
+                took = bad[ok]
+                c[took], e[took], m[took], d[took] = cb[ok], eb[ok], mb[ok], db[ok]
+                failed[took] = False
+                bad = bad[~ok]
+                if bad.size == 0:
+                    break
+        if failed.any():
+            # a row that cannot step is at the boundary and keeps its last state
+            boundary[act[failed]] = True
+            keep = ~failed[:, None]
+            c, e, m, d = np.where(keep, c, b), np.where(keep, e, eta), np.where(keep, m, mu), \
+                np.where(failed, dev, d)
+        dev_old = dev
+        b, eta, mu, dev = c, e, m, d
+        finished = failed
+        if it > 1:
+            u = w * (y - mu) / (family.variance(mu) * link.gprime(mu))
+            s = np.matmul(XT, u[:, :, None])[:, :, 0]
+            done = (np.abs(dev - dev_old) < 1e-10 * (np.abs(dev) + 0.1)) \
+                & (np.abs(s).max(axis=1) < tol) & ~failed
+            converged[act[done]] = True
+            finished = failed | done
+        if finished.any():
+            i = act[finished]
+            beta[i], eta_out[i], mu_out[i], dev_out[i] = b[finished], eta[finished], mu[finished], \
+                dev[finished]
+            iterations[i] = it
+            keep = ~finished
+            act, y, b, eta, mu, dev = act[keep], y[keep], b[keep], eta[keep], mu[keep], dev[keep]
+    beta[act], eta_out[act], mu_out[act], dev_out[act] = b, eta, mu, dev
+    iterations[act] = it
+    # an accepted step always has finite coefficients
+    stepped = np.isfinite(beta).all(axis=1)
+    fitted = np.flatnonzero(stepped)
+    boundary[fitted] |= np.any(np.abs(beta[fitted]) > BOUNDARY_GUARD, axis=1) \
+        | np.any(eta_out[fitted] < -BOUNDARY_GUARD * 45, axis=1)
+    mu = mu_out[fitted]
+    W = w / (family.variance(mu) * link.gprime(mu) ** 2)
+    XtWX = np.matmul(XT, W[:, :, None] * X)
+    cov = np.full((n_rep, p, p), np.nan)
+    try:
+        cov[fitted] = np.linalg.inv(XtWX)
+    except np.linalg.LinAlgError:
+        for i, info in zip(fitted, XtWX):
+            try:
+                cov[i] = np.linalg.inv(info)
+            except np.linalg.LinAlgError:
+                cov[i] = np.linalg.pinv(info)
+                boundary[i] = True
+    return BatchFit(beta, cov, dev_out, mu_out, iterations, converged, boundary, start_ok, stepped)
+
+
+def fit_irls(family, link, data: ModelData, tol=1e-8, max_iter=50) -> FitResult:
+    """Fit one model by Fisher scoring: ``fit_irls_batch`` on its single response.
+
+    Adds the scale estimates and the log likelihood at the MLE. Raises
+    DomainError when the start mean leaves the family domain and
+    ConvergenceError when IRLS cannot take a single step.
     """
     family, link = _resolve(family, link)
     n, p = data.n, data.p
-    mu = _start_mu(family, data)
-    family.check_mu(mu)
-    eta = link.g(mu)
-    beta = None
-    dev = deviance(family, data, mu)
-    converged = False
-    boundary = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        W = data.weights / (family.variance(mu) * link.gprime(mu) ** 2)
-        z = (eta - data.offset) + (data.y - mu) * link.gprime(mu)
-        sw = np.sqrt(W)
-        Q, R = np.linalg.qr(sw[:, None] * data.X)
-        beta_new = linalg.solve_triangular(R, Q.T @ (sw * z))
-        # step-halve if the proposal leaves the domain or worsens the deviance
-        step_ok = False
-        frac = 1.0
-        for _ in range(25):
-            cand = beta_new if beta is None else beta + frac * (beta_new - beta)
-            eta_c = data.X @ cand + data.offset
-            mu_c = link.ginv(eta_c)
-            if np.all(family.in_domain(mu_c)) and np.all(np.isfinite(mu_c)):
-                dev_c = deviance(family, data, mu_c)
-                if np.isfinite(dev_c) and (beta is None or dev_c <= dev + 1e-8 * (abs(dev) + 1.0)):
-                    step_ok = True
-                    break
-            frac *= 0.5
-        if not step_ok:
-            boundary = True
-            break
-        beta, eta, mu = cand, eta_c, mu_c
-        dev_new = dev_c
-        s = score(family, link, beta, 1.0, data)
-        if abs(dev_new - dev) < 1e-10 * (abs(dev_new) + 0.1) and np.max(np.abs(s)) < tol and it > 1:
-            dev = dev_new
-            converged = True
-            break
-        dev = dev_new
-    if beta is None:
+    bf = fit_irls_batch(family, link, data.y[None, :], data.X, data.offset, data.weights,
+                        tol=tol, max_iter=max_iter)
+    if not bf.start_ok[0]:
+        raise DomainError(f"mean outside the {family.name} family domain")
+    if not bf.stepped[0]:
         raise ConvergenceError("IRLS could not take a single step")
-    if np.any(np.abs(beta) > BOUNDARY_GUARD) or np.any(eta < -BOUNDARY_GUARD * 45):
-        boundary = True
-    W = data.weights / (family.variance(mu) * link.gprime(mu) ** 2)
-    XtWX = data.X.T @ (W[:, None] * data.X)
-    try:
-        cov = np.linalg.inv(XtWX)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(XtWX)
-        boundary = True
+    beta, mu, dev = bf.beta_hat[0], bf.mu[0], float(bf.deviance[0])
+    boundary = bool(bf.boundary[0])
     phi_ll = 1.0
     scale = None
     if n > p and dev > 0 and not boundary:
@@ -369,13 +489,13 @@ def fit_irls(family, link, data: ModelData, tol=1e-8, max_iter=50) -> FitResult:
             phi_ll = scale.phi_dev
     ll = float(np.sum(_loglik_terms(family, data.y, mu, phi_ll, data.weights)))
     return FitResult(
-        beta_hat=np.asarray(beta, dtype=float),
-        cov_unscaled=cov,
-        deviance=float(dev),
+        beta_hat=beta,
+        cov_unscaled=bf.cov_unscaled[0],
+        deviance=dev,
         scale=scale,
-        converged=converged,
+        converged=bool(bf.converged[0]),
         boundary=boundary,
-        iterations=it,
+        iterations=int(bf.iterations[0]),
         loglik_at_mle=ll,
         family=family.name,
         link=link.name,

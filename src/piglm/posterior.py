@@ -254,8 +254,8 @@ def grid_posterior(loglik: Callable, priors: Sequence[Optional[PriorSpec]],
 
     ``loglik`` takes an (m, p) array of coefficient vectors; a ``None`` prior
     entry means flat (constant) over the grid for that parameter. The result
-    is marked improper (and left unnormalized) when any marginal fails the
-    tail-decay test.
+    is marked improper (and left unnormalized) when the marginal of any flat
+    axis fails the tail-decay test.
     """
     p = len(bounds)
     if p > 3 or p < 1:
@@ -277,9 +277,13 @@ def grid_posterior(loglik: Callable, priors: Sequence[Optional[PriorSpec]],
         raise SupportError("posterior is -inf everywhere on the grid")
     peak = np.max(logpost)
     dens = np.exp(logpost - peak)
-    # impropriety: check each axis marginal of the unnormalized density
+    # impropriety: check each axis marginal of the unnormalized density. Every
+    # PriorSpec is proper, so only flat (None) axes can carry a flat tail; a
+    # heavy proper tail such as t_2 would fail the slope test at a wide edge.
     improper = False
     for i in range(p):
+        if priors[i] is not None:
+            continue
         marg = dens
         for ax in reversed([j for j in range(p) if j != i]):
             marg = np.trapezoid(marg, axes[ax], axis=ax)

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate
 
 from .errors import BoundaryError, DomainError, HarnessError
-from .glm import FitResult, ModelData, _resolve, fit_irls
-from .inference import pi_value_from_grid, wald_pvalue
+from .glm import FitResult, ModelData, _resolve, fit_irls_batch
+from .inference import pi_value_from_grid
 from .numerics import RngStream, std_normal_cdf, std_normal_quantile
 from .posterior import LaplacePosterior, ScaleMarginal, grid_posterior, vectorized_loglik
 
@@ -221,12 +220,15 @@ class ReplicationConfig:
     min_events_guard: int = 1
     target_index: int = -1                          # coefficient whose p/pi is summarized
     scale_dof: Optional[int] = None                 # override for the scale-marginal dof
-    n_workers: int = 1
+    n_workers: int = 1                              # accepted only as 1; see __post_init__
     bayes_resolution: int = 201
 
     def __post_init__(self):
         if self.n_sim < 100:
             raise DomainError("n_sim must be >= 100")
+        if self.n_workers != 1:
+            # replicates are fitted in one batch; the thread pool measured slower than serial
+            raise DomainError("n_workers must be 1")
         if not self.analyses:
             raise DomainError("at least one analysis required")
 
@@ -251,8 +253,13 @@ def _bayes_priors(tag, p):
     raise DomainError(f"unknown analysis {tag!r}")
 
 
-def _one_replicate(r, family, link, data, beta_hat, cov_u, scale_marginal,
-                   config: ReplicationConfig, chol):
+def _simulate_replicate(r, family, data, beta_hat, cov_u, scale_marginal,
+                        config: ReplicationConfig, chol):
+    """Draw replicate r's generating parameters and response from stream r + 1.
+
+    Returns the record and the simulated response, or None in its place when
+    the replicate fails before any analysis.
+    """
     rng = config.seed.child(r + 1).generator()
     record = {"replicate": r, "failed": False, "failure_reason": ""}
     phi_init = 1.0
@@ -278,47 +285,33 @@ def _one_replicate(r, family, link, data, beta_hat, cov_u, scale_marginal,
             mu = np.exp(eta)
             y = rng.gamma(1.0 / phi_g, phi_g * mu)
     except ValueError:
-        record["failed"] = True
-        record["failure_reason"] = "simulation overflow"
-        return record
+        return _fail(record, "simulation overflow"), None
     if name in ("poisson", "binomial"):
         counts = y * (w if name == "binomial" else 1.0)
         if np.any(counts < config.min_events_guard):
-            record["failed"] = True
-            record["failure_reason"] = "too few events"
-            return record
-    rep_data = ModelData(y=y, X=X, offset=off, weights=w)
-    for tag in config.analyses:
-        if tag == "ml":
-            try:
-                fit = fit_irls(family, link, rep_data)
-            except Exception:
-                record["failed"] = True
-                record["failure_reason"] = "fit error"
-                return record
-            if fit.boundary or not fit.converged:
-                record["failed"] = True
-                record["failure_reason"] = "boundary" if fit.boundary else "non-convergence"
-                return record
-            phi_rep = 1.0 if family.known_scale else fit.scale.phi_dev
-            record["ml_estimates"] = fit.beta_hat
-            record["ml_p"] = np.array([
-                wald_pvalue(fit, phi_rep, j).p_or_pi for j in range(fit.p)
-            ])
-        else:
-            priors = _bayes_priors(tag, data.p)
-            se = np.sqrt(np.diag(cov_u))
-            bounds = [(b - 8.0 * s, b + 8.0 * s) for b, s in zip(beta_hat, se)]
-            ll = vectorized_loglik(family, link, rep_data)
-            gp = grid_posterior(ll, priors, bounds, resolution=config.bayes_resolution)
-            key = tag if isinstance(tag, str) else tag[0]
-            if not gp.proper:
-                record[f"{key}_pi"] = None
-                continue
-            # marginal(-1) would integrate out every axis, so normalise the index
-            rep = pi_value_from_grid(gp, config.target_index % data.p)
-            record[f"{key}_pi"] = rep.p_or_pi
+            return _fail(record, "too few events"), None
+    return record, y
+
+
+def _fail(record, reason):
+    record["failed"] = True
+    record["failure_reason"] = reason
     return record
+
+
+def _ml_failure_reasons(bf) -> np.ndarray:
+    """Per-replicate failure reason of a batch fit ("" for a usable fit)."""
+    reasons = np.full(bf.converged.shape, "", dtype=object)
+    reasons[~bf.converged] = "non-convergence"
+    reasons[bf.boundary] = "boundary"
+    reasons[~(bf.start_ok & bf.stepped)] = "fit error"
+    return reasons
+
+
+def _wald_p(beta, cov, phi) -> np.ndarray:
+    """Two-sided normal Wald p-values for every coefficient of every row."""
+    z = beta / np.sqrt(phi[:, None] * np.diagonal(cov, axis1=1, axis2=2))
+    return np.minimum(2.0 * std_normal_cdf(-np.abs(z)), 1.0)
 
 
 def run_replication(initial: FitResult, family, link, data: ModelData,
@@ -327,10 +320,13 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     initial posterior, translate, simulate replicate data on the replicate
     design, re-run each configured analysis, and summarize.
 
-    Failed replicates (boundary fits, non-convergence, fewer events than the
-    guard) are flagged and excluded from summaries; the excluded fraction is
-    reported. Deterministic given the config's seed: replicate r uses stream
-    id r + 1 regardless of worker scheduling.
+    Replicates are simulated one at a time, replicate r from stream id r + 1,
+    so the result is deterministic given the config's seed. The ML analysis
+    then fits every simulated replicate in one ``fit_irls_batch`` call.
+    Failed replicates are flagged with a reason ("simulation overflow", "too
+    few events", "fit error" when IRLS took no step, "boundary",
+    "non-convergence") and excluded from summaries; the excluded fraction is
+    reported.
     """
     family, link = _resolve(family, link)
     if initial.boundary or not initial.converged:
@@ -343,17 +339,43 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
         dof = config.scale_dof if config.scale_dof is not None else initial.n - initial.p
         scale_marginal = ScaleMarginal(dof, initial.deviance / dof)
     chol = np.linalg.cholesky(cov_u)
-
-    def work(r):
-        return _one_replicate(r, family, link, rep_data, beta_hat, cov_u,
-                              scale_marginal, config, chol)
-
-    if config.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.n_workers) as ex:
-            records = list(ex.map(work, range(config.n_sim)))
-    else:
-        records = [work(r) for r in range(config.n_sim)]
-    records.sort(key=lambda rec: rec["replicate"])
+    records, survivors, ys = [], [], []
+    for r in range(config.n_sim):
+        record, y = _simulate_replicate(r, family, rep_data, beta_hat, cov_u,
+                                        scale_marginal, config, chol)
+        records.append(record)
+        if y is not None:
+            survivors.append(record)
+            ys.append(y)
+    if "ml" in config.analyses and ys:
+        bf = fit_irls_batch(family, link, np.array(ys), rep_data.X, rep_data.offset,
+                            rep_data.weights)
+        reasons = _ml_failure_reasons(bf)
+        usable = reasons == ""
+        phi = np.ones(len(ys)) if family.known_scale else bf.deviance / (rep_data.n - rep_data.p)
+        ml_p = np.full(bf.beta_hat.shape, np.nan)
+        ml_p[usable] = _wald_p(bf.beta_hat[usable], bf.cov_unscaled[usable], phi[usable])
+    se = np.sqrt(np.diag(cov_u))
+    bounds = [(b - 8.0 * s, b + 8.0 * s) for b, s in zip(beta_hat, se)]
+    for i, (record, y) in enumerate(zip(survivors, ys)):
+        for tag in config.analyses:
+            if tag == "ml":
+                if reasons[i]:
+                    _fail(record, reasons[i])
+                    break
+                record["ml_estimates"] = bf.beta_hat[i]
+                record["ml_p"] = ml_p[i]
+                continue
+            priors = _bayes_priors(tag, rep_data.p)
+            ll = vectorized_loglik(family, link, ModelData(y=y, X=rep_data.X, offset=rep_data.offset,
+                                                           weights=rep_data.weights))
+            gp = grid_posterior(ll, priors, bounds, resolution=config.bayes_resolution)
+            key = tag if isinstance(tag, str) else tag[0]
+            if not gp.proper:
+                record[f"{key}_pi"] = None
+                continue
+            # marginal(-1) would integrate out every axis, so normalise the index
+            record[f"{key}_pi"] = pi_value_from_grid(gp, config.target_index % rep_data.p).p_or_pi
     good = [rec for rec in records if not rec["failed"]]
     if not good:
         raise HarnessError("every replicate failed")

@@ -205,7 +205,7 @@ def test_criterion_06_replicate_density_properties():
 def test_criterion_07_replication_harness(credence_primary):
     data, fit = credence_primary
     t0 = time.time()
-    cfg = pg.ReplicationConfig(n_sim=5000, seed=pg.RngStream(SEED), n_workers=4)
+    cfg = pg.ReplicationConfig(n_sim=5000, seed=pg.RngStream(SEED))
     rep = pg.run_replication(fit, "poisson", "log", data, cfg)
     elapsed = time.time() - t0
     good = [r for r in rep.records if not r["failed"]]

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import piglm as pg
-from piglm.glm import FAMILIES, ModelData, fit_irls, score
+from scipy import linalg
+
+from piglm.glm import (BOUNDARY_GUARD, FAMILIES, LINKS, ModelData, _start_mu, deviance,
+                       fit_irls, fit_irls_batch, score)
 
 
 def _poisson_2x2(y1, y0, e1, e0, scale=1000.0):
@@ -233,3 +236,187 @@ def test_poisson_fit_recovers_observed_rates(seed):
     assert fit.beta_hat[1] == pytest.approx(
         math.log((y[0] / e[0]) / (y[1] / e[1])), abs=1e-8
     )
+
+
+# Batches mixing interior fits, fits diverging to the boundary (caught by the
+# BOUNDARY_GUARD tests) and rows IRLS cannot start on or step from. Two arms of
+# three observations each; binomial rows are proportions out of 10 trials.
+_ARM = np.repeat([1.0, 0.0], 3)
+_BATCHES = {
+    "gaussian": ("identity", None, [
+        1.0 + 0.5 * _ARM + np.array([0.3, -0.2, 0.1, -0.4, 0.2, 0.05]),
+        40.0 * _ARM + np.array([0.1, 0.0, -0.1, 0.2, 0.0, -0.2]),     # slope 40 > guard
+        np.array([1.0, np.inf, 2.0, 1.0, 0.5, 1.5]),                  # start mean not finite
+        -2.0 + np.array([0.5, 0.1, -0.3, 0.2, 0.4, -0.1]),
+    ]),
+    "poisson": ("log", None, [
+        np.array([3.0, 5.0, 4.0, 7.0, 6.0, 9.0]),
+        np.array([0.0, 0.0, 0.0, 4.0, 6.0, 5.0]),                     # empty treated arm
+        np.array([2.0, np.nan, 1.0, 3.0, 2.0, 4.0]),                  # no step possible
+        np.array([12.0, 15.0, 9.0, 11.0, 10.0, 14.0]),
+    ]),
+    "binomial": ("logit", np.full(6, 10.0), [
+        np.array([0.3, 0.5, 0.4, 0.6, 0.7, 0.5]),
+        np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),                     # separated arms
+        np.array([0.2, np.nan, 0.3, 0.4, 0.5, 0.6]),                  # start mean not in (0, 1)
+        np.array([0.1, 0.2, 0.1, 0.3, 0.2, 0.4]),
+    ]),
+    "gamma": ("log", None, [
+        np.array([1.2, 0.8, 1.5, 2.5, 3.1, 1.9]),
+        np.exp(20.0 * _ARM) * np.array([1.1, 0.9, 1.0, 1.2, 0.8, 1.0]),  # slope 20 > guard
+        np.array([1.0, np.nan, 2.0, 1.5, 0.7, 1.1]),                  # start mean not positive
+        np.array([5.0, 4.0, 6.5, 2.0, 2.5, 1.5]),
+    ]),
+}
+_X2 = np.column_stack([np.ones(6), _ARM])
+
+
+def _same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _reference_irls(family, link, data, tol=1e-8, max_iter=50):
+    """One response at a time, with scipy's triangular solve: the loop the
+    batched core replaces. For p = 2 the core must match it bit for bit.
+
+    The solve skips scipy's finiteness check, so a non-finite working weight
+    fails the step (and flags the boundary) here as in the core, where the
+    checked solve raised ValueError."""
+    mu = _start_mu(family, data.y, data.weights)
+    eta, beta, dev = link.g(mu), None, deviance(family, data, mu)
+    converged = boundary = False
+    for it in range(1, max_iter + 1):
+        W = data.weights / (family.variance(mu) * link.gprime(mu) ** 2)
+        z = (eta - data.offset) + (data.y - mu) * link.gprime(mu)
+        Q, R = np.linalg.qr(np.sqrt(W)[:, None] * data.X)
+        beta_new = linalg.solve_triangular(R, Q.T @ (np.sqrt(W) * z), check_finite=False)
+        frac, step_ok = 1.0, False
+        for _ in range(25):
+            cand = beta_new if beta is None else beta + frac * (beta_new - beta)
+            eta_c = data.X @ cand + data.offset
+            mu_c = link.ginv(eta_c)
+            if np.all(family.in_domain(mu_c)) and np.all(np.isfinite(mu_c)):
+                dev_c = deviance(family, data, mu_c)
+                if np.isfinite(dev_c) and (beta is None or dev_c <= dev + 1e-8 * (abs(dev) + 1.0)):
+                    step_ok = True
+                    break
+            frac *= 0.5
+        if not step_ok:
+            boundary = True
+            break
+        beta, eta, mu, dev_old, dev = cand, eta_c, mu_c, dev, dev_c
+        s = score(family, link, beta, 1.0, data)
+        if abs(dev - dev_old) < 1e-10 * (abs(dev) + 0.1) and np.max(np.abs(s)) < tol and it > 1:
+            converged = True
+            break
+    if np.any(np.abs(beta) > BOUNDARY_GUARD) or np.any(eta < -BOUNDARY_GUARD * 45):
+        boundary = True
+    W = data.weights / (family.variance(mu) * link.gprime(mu) ** 2)
+    cov = np.linalg.inv(data.X.T @ (W[:, None] * data.X))
+    return beta, cov, dev, converged, boundary, it
+
+
+# Gamma-log responses whose full Fisher steps overshoot: step-halving rescues
+# the first; the second cannot step at its third iteration.
+_OVERSHOOT = {
+    "halved": ([0.6007, 11.8319, 1.4989, 0.1266, 4.0352, 153.0751],
+               [-2.662, -4.7868, -2.3577, 0.1563, -8.795, -0.8276]),
+    "stuck": ([0.0644, 0.4341, 0.0017, 0.0243, 237676.0626, 107.4585],
+              [-3.2211, -2.3497, -0.0522, 0.0836, -1.7928, -3.0987]),
+}
+
+
+def _batch_matching_single_rows(family, link, Y, w, max_iter, X=_X2):
+    """Fit Y as one batch and assert each row equals its own R = 1 fit."""
+    batch = fit_irls_batch(family, link, Y, X, weights=w, max_iter=max_iter)
+    for r in range(Y.shape[0]):
+        alone = fit_irls_batch(family, link, Y[r:r + 1], X, weights=w, max_iter=max_iter)
+        for field in ("beta_hat", "cov_unscaled", "deviance", "mu", "iterations",
+                      "converged", "boundary", "start_ok", "stepped"):
+            assert _same(getattr(batch, field)[r], getattr(alone, field)[0]), (r, field)
+    return batch
+
+
+class TestBatchCore:
+    @pytest.mark.parametrize("family", sorted(_BATCHES))
+    def test_each_row_fits_as_if_alone(self, family):
+        link, w, rows = _BATCHES[family]
+        batch = _batch_matching_single_rows(family, link, np.array(rows), w, 50)
+        usable = batch.start_ok & batch.stepped
+        assert (batch.converged & ~batch.boundary)[[0, 3]].all()
+        assert usable[1] and batch.boundary[1]
+        assert np.abs(batch.beta_hat[1]).max() > BOUNDARY_GUARD
+        assert not usable[2] and np.isnan(batch.beta_hat[2]).all()
+
+    @pytest.mark.parametrize("family", ["poisson", "binomial"])
+    def test_unfinished_rows_mix_with_converged_rows(self, family):
+        # four steps settle the interior rows but not the row still diverging
+        link, w, rows = _BATCHES[family]
+        batch = _batch_matching_single_rows(family, link, np.array(rows), w, 4)
+        assert batch.converged[[0, 3]].all()
+        assert batch.stepped[1] and not batch.converged[1] and not batch.boundary[1]
+        assert batch.iterations[1] == 4
+
+    @pytest.mark.parametrize("family", sorted(_BATCHES))
+    def test_fit_irls_is_the_single_row_case(self, family):
+        link, w, rows = _BATCHES[family]
+        for r in (0, 1):
+            data = ModelData(y=rows[r], X=_X2, weights=w)
+            fit = fit_irls(family, link, data)
+            row = fit_irls_batch(family, link, rows[r][None, :], _X2, weights=w)
+            assert _same(fit.beta_hat, row.beta_hat[0])
+            assert _same(fit.cov_unscaled, row.cov_unscaled[0])
+            assert (fit.deviance, fit.iterations, fit.converged, fit.boundary) == (
+                row.deviance[0], row.iterations[0], row.converged[0], row.boundary[0])
+        error = pg.DomainError if family in ("gaussian", "binomial", "gamma") else pg.ConvergenceError
+        with pytest.raises(error):
+            fit_irls(family, link, ModelData(y=rows[2], X=_X2, weights=w))
+
+    @pytest.mark.parametrize("case", sorted(_OVERSHOOT))
+    def test_step_halving_rows(self, case):
+        y, x = (np.array(v) for v in _OVERSHOOT[case])
+        X = np.column_stack([np.ones(6), x])
+        Y = np.array([y, np.exp(0.3 * x) * np.array([1.1, 0.9, 1.0, 1.2, 0.8, 1.0])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = _batch_matching_single_rows("gamma", "log", Y, None, 50, X)
+            ref = _reference_irls(FAMILIES["gamma"], LINKS["log"], ModelData(y, X))
+        assert _same(batch.beta_hat[0], ref[0]) and _same(batch.cov_unscaled[0], ref[1])
+        assert (batch.deviance[0], batch.converged[0], batch.boundary[0],
+                batch.iterations[0]) == ref[2:]
+        assert batch.converged[1] and not batch.boundary[1]
+        if case == "halved":
+            assert batch.converged[0] and not batch.boundary[0]
+        else:
+            assert batch.stepped[0] and batch.boundary[0] and not batch.converged[0]
+            assert batch.iterations[0] == 3
+
+    @pytest.mark.parametrize("family", sorted(_BATCHES))
+    def test_rows_equal_the_scalar_reference_loop(self, family, credence_primary, dapa_dka):
+        link, w, rows = _BATCHES[family]
+        cases = [(rows[r], _X2, None, w) for r in (0, 1, 3)]
+        if family == "poisson":
+            cases += [(d.y, d.X, d.offset, None) for d, _ in (credence_primary, dapa_dka)]
+        for y, X, off, wt in cases:
+            ref = _reference_irls(FAMILIES[family], LINKS[link], ModelData(y, X, off, wt))
+            row = fit_irls_batch(family, link, y[None, :], X, off, wt)
+            assert _same(row.beta_hat[0], ref[0]) and _same(row.cov_unscaled[0], ref[1])
+            assert (row.deviance[0], row.converged[0], row.boundary[0], row.iterations[0]) == ref[2:]
+
+    def test_gaussian_slope_equals_least_squares_per_row(self, rng):
+        n = 25
+        X = np.column_stack([np.ones(n), rng.uniform(-2.0, 2.0, n)])
+        Y = (X @ np.array([0.5, -1.5]))[None, :] + rng.standard_normal((200, n)) * 3.0
+        batch = fit_irls_batch("gaussian", "identity", Y, X)
+        assert batch.converged.all() and not batch.boundary.any()
+        for y, beta in zip(Y, batch.beta_hat):
+            ls, *_ = np.linalg.lstsq(X, y, rcond=None)
+            np.testing.assert_allclose(beta, ls, rtol=0.0, atol=1e-10)
+
+    def test_two_arm_poisson_slope_equals_log_rate_ratio(self, rng):
+        E = np.array([5671.296, 5555.556])
+        Y = rng.integers(1, 400, size=(300, 2)).astype(float)
+        X = np.array([[1.0, 1.0], [1.0, 0.0]])
+        batch = fit_irls_batch("poisson", "log", Y, X, offset=np.log(E))
+        assert batch.converged.all() and not batch.boundary.any()
+        ratio = np.log((Y[:, 0] / E[0]) / (Y[:, 1] / E[1]))
+        np.testing.assert_allclose(batch.beta_hat[:, 1], ratio, rtol=1e-12, atol=0.0)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import piglm as pg
-from piglm.cli import main
+from piglm import cli
+from piglm.cli import MAX_N_ITER, MAX_N_SIM, MAX_RESOLUTION, main
 from piglm.io import format_float, to_json_text
 
 
@@ -195,3 +196,56 @@ class TestCli:
         res = json.loads(out.read_text())
         assert res["summaries"]["fraction_failed"] == 0.0
         assert res["summaries"]["ml_mean"][1] == pytest.approx(-0.348, abs=0.05)
+
+    def test_grid_t2_prior_is_proper_and_flat_is_not(self, tmp_path):
+        # a t_2 tail decays too slowly for the slope test at the grid edge, but
+        # the prior is proper, so the posterior is too
+        out = tmp_path / "g.json"
+        base = ["posterior", "--study", "DAPA-CKD", "--outcome", "dka", "--method", "grid",
+                "--out", str(out)]
+        assert main(base + ["--prior", "student_t", "--prior-df", "2",
+                            "--prior-scale", "2"]) == 0
+        res = json.loads(out.read_text())
+        assert res["proper"] is True and 0.0 < res["pi"] < 1.0
+        assert main(base + ["--prior", "flat"]) == 3
+        assert json.loads(out.read_text())["proper"] is False
+
+
+class _Reached(Exception):
+    """Raised in place of the first allocation after option parsing."""
+
+
+_STUDY = ["--study", "CREDENCE", "--outcome", "primary"]
+_SIZED = [
+    pytest.param(["replicate", *_STUDY, "--n-sim"], MAX_N_SIM, id="replicate-n-sim"),
+    pytest.param(["posterior", *_STUDY, "--method", "grid", "--resolution"], MAX_RESOLUTION,
+                 id="posterior-resolution"),
+    pytest.param(["surface", *_STUDY, "--resolution"], MAX_RESOLUTION, id="surface-resolution"),
+    pytest.param(["rpd", "--pi-init", "1e-4", "--resolution"], MAX_RESOLUTION,
+                 id="rpd-resolution"),
+    pytest.param(["priors", "--kind", "test_fixed_sigma", "--sigma", "1000", "--resolution"],
+                 MAX_RESOLUTION, id="priors-resolution"),
+    pytest.param(["posterior", *_STUDY, "--method", "metropolis", "--n-iter"], MAX_N_ITER,
+                 id="posterior-n-iter"),
+    pytest.param(["posterior", *_STUDY, "--method", "metropolis", "--burn-in"], MAX_N_ITER,
+                 id="posterior-burn-in"),
+]
+
+
+class TestSizeLimits:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise _Reached()
+
+        for name in ("_load", "rpd_curve", "local_uniformity_check"):
+            monkeypatch.setattr(cli, name, reached)
+
+    @pytest.mark.parametrize("args,limit", _SIZED)
+    def test_over_the_limit_is_a_usage_error(self, args, limit):
+        assert main(args + [str(limit + 1)]) == 64
+
+    @pytest.mark.parametrize("args,limit", _SIZED)
+    def test_the_limit_itself_is_accepted(self, args, limit):
+        with pytest.raises(_Reached):
+            main(args + [str(limit)])

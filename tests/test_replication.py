@@ -5,7 +5,8 @@ import pytest
 from scipy import integrate, stats
 
 import piglm as pg
-from piglm.glm import ModelData, fit_irls
+from piglm import replication
+from piglm.glm import ModelData, fit_irls, fit_irls_batch
 from piglm.replication import (
     ReplicationConfig,
     TranslationKernel,
@@ -125,11 +126,11 @@ class TestKernel:
 
 
 class TestHarness:
-    def test_deterministic_and_worker_invariant(self, credence_primary):
+    def test_deterministic_given_seed(self, credence_primary):
         data, fit = credence_primary
         reports = []
-        for workers in (1, 3):
-            cfg = ReplicationConfig(n_sim=150, seed=pg.RngStream(77), n_workers=workers)
+        for _ in range(2):
+            cfg = ReplicationConfig(n_sim=150, seed=pg.RngStream(77))
             reports.append(run_replication(fit, "poisson", "log", data, cfg))
         a, b = reports
         assert np.array_equal(a.summaries["ml_mean"], b.summaries["ml_mean"])
@@ -217,3 +218,52 @@ class TestHarness:
             ReplicationConfig(n_sim=50, seed=pg.RngStream(1))
         with pytest.raises(pg.DomainError):
             ReplicationConfig(n_sim=100, seed=pg.RngStream(1), analyses=())
+        with pytest.raises(pg.DomainError):
+            ReplicationConfig(n_sim=100, seed=pg.RngStream(1), n_workers=2)
+
+    @pytest.mark.parametrize("family,link,weights", [
+        ("binomial", "logit", np.full(16, 40.0)),
+        ("gamma", "log", None),
+    ])
+    def test_estimator_dispersion_doubles_other_families(self, family, link, weights):
+        # the replicate estimator is N(beta_init, 2 Sigma) marginally; the gamma
+        # scale is drawn from its marginal each replicate, whose mean is D/(n-p-2)
+        n, arm = 16, np.repeat([1.0, 0.0], 8)
+        X = np.column_stack([np.ones(n), arm])
+        gen = np.random.default_rng(4)
+        if family == "binomial":
+            y = gen.binomial(40, 0.3 + 0.2 * arm) / 40.0
+        else:
+            y = gen.gamma(4.0, (1.0 + arm) / 4.0)
+        data = ModelData(y=y, X=X, weights=weights)
+        fit = fit_irls(family, link, data)
+        rep = run_replication(fit, family, link, data,
+                              ReplicationConfig(n_sim=1000, seed=pg.RngStream(13)))
+        assert rep.summaries["fraction_failed"] == 0.0
+        phi = 1.0 if family == "binomial" else fit.deviance / (n - 2 - 2)
+        ratio = rep.summaries["ml_var"][1] / (2.0 * phi * fit.cov_unscaled[1, 1])
+        # over replicate seeds 10-19 the ratio spreads with sd near 0.05
+        assert ratio == pytest.approx(1.0, abs=0.2)
+
+    def test_unrelated_errors_propagate(self, credence_primary, monkeypatch):
+        data, fit = credence_primary
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a fit outcome")
+
+        monkeypatch.setattr(replication, "fit_irls_batch", broken)
+        with pytest.raises(RuntimeError, match="not a fit outcome"):
+            run_replication(fit, "poisson", "log", data,
+                            ReplicationConfig(n_sim=100, seed=pg.RngStream(3)))
+
+    def test_failure_reasons_follow_the_fit_outcome(self):
+        X = np.column_stack([np.ones(4), np.repeat([1.0, 0.0], 2)])
+        Y = np.array([[3.0, 5.0, 7.0, 4.0],      # converges
+                      [0.0, 0.0, 6.0, 4.0],      # diverges past the guard
+                      [2.0, np.nan, 3.0, 2.0],   # no step possible
+                      [9.0, 8.0, 4.0, 5.0]])
+        bf = fit_irls_batch("poisson", "log", Y, X)
+        assert list(replication._ml_failure_reasons(bf)) == ["", "boundary", "fit error", ""]
+        bf = fit_irls_batch("poisson", "log", Y, X, max_iter=4)
+        assert list(replication._ml_failure_reasons(bf)) == [
+            "", "non-convergence", "fit error", ""]
