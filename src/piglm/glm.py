@@ -239,6 +239,31 @@ def _loglik_terms(family: Family, y, mu, phi, weights):
     raise DomainError(f"unknown family {name}")
 
 
+def _grid_nodes(axes) -> np.ndarray:
+    """(m, k) array of the nodes of the rectangular grid on ``axes``, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _loglik_points(family: Family, link: LinkFn, data: ModelData, betas: np.ndarray,
+                   phi: float) -> np.ndarray:
+    """Log likelihood at each row of an (m, p) coefficient array; -inf outside the domain.
+
+    The linear predictor is laid out (n, m), with the points on the contiguous
+    axis, so the domain test and the sum over observations run along axis 0.
+    """
+    eta = data.X @ betas.T + data.offset[:, None]
+    mu = link.ginv(eta)
+    y, w = data.y[:, None], data.weights[:, None]
+    ok = family.in_domain(mu).all(axis=0)
+    if ok.all():
+        return _loglik_terms(family, y, mu, phi, w).sum(axis=0)
+    out = np.full(betas.shape[0], -np.inf)
+    if ok.any():
+        out[ok] = _loglik_terms(family, y, mu[:, ok], phi, w).sum(axis=0)
+    return out
+
+
 def _mu_from_beta(family: Family, link: LinkFn, beta, data: ModelData):
     eta = data.X @ np.asarray(beta, dtype=float) + data.offset
     mu = link.ginv(eta)
@@ -592,13 +617,8 @@ def likelihood_surface(family, link, data: ModelData, fit: FitResult,
     se = np.sqrt(np.diag(np.linalg.inv(info)))
     g0 = np.linspace(center[0] - half_widths[0] * se[0], center[0] + half_widths[0] * se[0], resolution)
     g1 = np.linspace(center[1] - half_widths[1] * se[1], center[1] + half_widths[1] * se[1], resolution)
-    ll = np.empty((resolution, resolution))
-    for i, b0 in enumerate(g0):
-        for j, b1 in enumerate(g1):
-            try:
-                ll[i, j] = log_likelihood(family, link, np.array([b0, b1]), max(phi, 1e-300), data)
-            except DomainError:
-                ll[i, j] = -np.inf
+    ll = _loglik_points(family, link, data, _grid_nodes((g0, g1)), max(phi, 1e-300))
+    ll = ll.reshape(resolution, resolution)
     ll0 = log_likelihood(family, link, center, max(phi, 1e-300), data)
     diffs0 = g0[:, None] - center[0]
     diffs1 = g1[None, :] - center[1]

@@ -22,7 +22,7 @@ from .errors import (
     MixingError,
     SupportError,
 )
-from .glm import FitResult, ModelData, _resolve
+from .glm import FitResult, ModelData, _grid_nodes, _loglik_points, _resolve
 from .numerics import RngStream, std_normal_cdf, student_t_cdf
 from .priors import PriorSpec, ScalePriorSpec, prior_logpdf
 
@@ -153,32 +153,32 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
 
 
 def vectorized_loglik(family, link, data: ModelData, phi: float = 1.0) -> Callable:
-    """Log likelihood accepting an (m, p) array of coefficient vectors."""
+    """Log likelihood accepting an (m, p) array of coefficient vectors.
+
+    Points whose means leave the family domain get -inf.
+    """
     family, link = _resolve(family, link)
-    from .glm import _loglik_terms
 
     def ll(betas: np.ndarray) -> np.ndarray:
-        betas = np.atleast_2d(np.asarray(betas, dtype=float))
-        eta = betas @ data.X.T + data.offset
-        mu = link.ginv(eta)
-        ok = np.all(family.in_domain(mu), axis=1)
-        out = np.full(betas.shape[0], -np.inf)
-        if np.any(ok):
-            terms = _loglik_terms(family, data.y, mu[ok], phi, data.weights)
-            out[ok] = terms.sum(axis=1)
-        return out
+        return _loglik_points(family, link, data, np.atleast_2d(np.asarray(betas, dtype=float)), phi)
 
     return ll
 
 
 @dataclasses.dataclass(frozen=True)
 class GridPosterior:
-    """Trapezoid-normalized posterior on a rectangular grid (p <= 3)."""
+    """Trapezoid-normalized posterior on a rectangular grid (p <= 3).
+
+    Each normalized marginal is computed once, on first use, and returned as
+    read-only arrays; parameter indices may count from the end, as in Python.
+    """
 
     axes: Tuple[np.ndarray, ...]
     log_density: np.ndarray        # unnormalized
     log_normalizer: float
     proper: bool
+    _marginals: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                         compare=False)
 
     @property
     def p(self) -> int:
@@ -191,11 +191,18 @@ class GridPosterior:
 
     def marginal(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
         """(grid, density) of the normalized marginal of parameter ``index``."""
-        dens = self.density()
-        for ax in reversed([i for i in range(self.p) if i != index]):
-            dens = np.trapezoid(dens, self.axes[ax], axis=ax)
-        norm = np.trapezoid(dens, self.axes[index])
-        return self.axes[index], dens / norm
+        if not -self.p <= index < self.p:
+            raise DomainError(f"parameter index {index} out of range for p = {self.p}")
+        index %= self.p
+        if index not in self._marginals:
+            dens = self.density()
+            for ax in reversed([i for i in range(self.p) if i != index]):
+                dens = np.trapezoid(dens, self.axes[ax], axis=ax)
+            dens = dens / np.trapezoid(dens, self.axes[index])
+            grid = self.axes[index].view()
+            grid.flags.writeable = dens.flags.writeable = False
+            self._marginals[index] = (grid, dens)
+        return self._marginals[index]
 
     def marginal_cdf_at(self, index: int, x0: float) -> float:
         grid, dens = self.marginal(index)
@@ -217,6 +224,15 @@ class GridPosterior:
         m = float(np.trapezoid(grid * dens, grid))
         v = float(np.trapezoid((grid - m) ** 2 * dens, grid))
         return m, math.sqrt(v)
+
+    def edge_mass(self, index: int) -> Tuple[float, float]:
+        """Normalized marginal mass in the first and the last grid cell.
+
+        A bound placed far enough out leaves both near zero.
+        """
+        grid, dens = self.marginal(index)
+        return (float(0.5 * (dens[0] + dens[1]) * (grid[1] - grid[0])),
+                float(0.5 * (dens[-2] + dens[-1]) * (grid[-1] - grid[-2])))
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
         """Draw from the grid by cell probabilities plus in-cell jitter."""
@@ -263,9 +279,7 @@ def grid_posterior(loglik: Callable, priors: Sequence[Optional[PriorSpec]],
     if len(priors) != p:
         raise DomainError("need one prior (or None) per parameter")
     axes = tuple(np.linspace(lo, hi, resolution) for lo, hi in bounds)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    logpost = np.asarray(loglik(pts), dtype=float).reshape(mesh[0].shape)
+    logpost = np.asarray(loglik(_grid_nodes(axes)), dtype=float).reshape((resolution,) * p)
     for i, spec in enumerate(priors):
         if spec is None:
             continue
@@ -403,9 +417,7 @@ def p_formula_density(fit: FitResult, family, link, data: ModelData,
         raise DomainError("p-formula density supports exactly two parameters")
     ll = vectorized_loglik(family, link, data, phi)
     g0, g1 = (np.asarray(g, dtype=float) for g in beta_grid)
-    mesh = np.meshgrid(g0, g1, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    ll_vals = ll(pts).reshape(len(g0), len(g1))
+    ll_vals = ll(_grid_nodes((g0, g1))).reshape(len(g0), len(g1))
     ll_hat = float(ll(fit.beta_hat[None, :])[0])
     info = np.linalg.inv(fit.cov_unscaled) / phi  # total information
     n, p = fit.n, fit.p

@@ -374,8 +374,7 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
             if not gp.proper:
                 record[f"{key}_pi"] = None
                 continue
-            # marginal(-1) would integrate out every axis, so normalise the index
-            record[f"{key}_pi"] = pi_value_from_grid(gp, config.target_index % rep_data.p).p_or_pi
+            record[f"{key}_pi"] = pi_value_from_grid(gp, config.target_index).p_or_pi
     good = [rec for rec in records if not rec["failed"]]
     if not good:
         raise HarnessError("every replicate failed")

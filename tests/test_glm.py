@@ -203,6 +203,44 @@ class TestSurface:
             pg.quadraticity_diagnostic(surf)
 
 
+def _surface_by_loop(family, link, data, g0, g1, phi=1.0):
+    """Per-node log likelihood, with an out-of-domain node mapped to -inf."""
+    ll = np.empty((len(g0), len(g1)))
+    for i, b0 in enumerate(g0):
+        for j, b1 in enumerate(g1):
+            try:
+                ll[i, j] = pg.log_likelihood(family, link, np.array([b0, b1]), phi, data)
+            except pg.DomainError:
+                ll[i, j] = -np.inf
+    return ll
+
+
+class TestSurfaceAgainstNodeLoop:
+    @pytest.mark.parametrize("study,outcome", [("CREDENCE", "primary"), ("CREDENCE", "dka"),
+                                               ("DAPA-CKD", "primary"), ("DAPA-CKD", "dka")])
+    def test_bundled_outcomes_bit_for_bit(self, trial_records, study, outcome):
+        data, _ = pg.trial_model_data(trial_records, study, outcome)
+        fit = fit_irls("poisson", "log", data)
+        anchor = np.array([0.0, -1.0]) if fit.boundary else None
+        surf = pg.likelihood_surface("poisson", "log", data, fit, resolution=61, anchor=anchor)
+        ref = _surface_by_loop("poisson", "log", data, surf.beta0_grid, surf.beta1_grid)
+        assert surf.anchored == fit.boundary
+        assert np.array_equal(surf.loglik, ref)
+
+    def test_out_of_domain_nodes_bit_for_bit(self):
+        # identity-link means go negative within 3 SE of the MLE. The covariate
+        # holds powers of two, so x * beta is exact and the surface's matrix
+        # product and the loop's matrix-vector product agree in every bit.
+        data = ModelData(y=np.array([2.0, 9.0, 5.0, 3.0, 7.0]),
+                         X=np.column_stack([np.ones(5), [0.0, 2.0, 0.5, -1.0, 1.0]]),
+                         offset=np.array([0.1, -0.4, 0.0, 0.25, 0.0]))
+        fit = fit_irls("poisson", "identity", data)
+        surf = pg.likelihood_surface("poisson", "identity", data, fit, resolution=41)
+        ref = _surface_by_loop("poisson", "identity", data, surf.beta0_grid, surf.beta1_grid)
+        assert np.isneginf(ref).any() and np.isfinite(ref).any()
+        assert np.array_equal(surf.loglik, ref)
+
+
 class TestValidation:
     def test_rank_deficient_design(self):
         with pytest.raises(pg.DesignError):

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import stats
+from hypothesis import assume, given, settings, strategies as st
+from scipy import special, stats
 
 import piglm as pg
 from piglm.inference import (
@@ -70,6 +70,27 @@ class TestPiValue:
         exact = 2 * stats.norm.cdf(-data.y.mean() / 0.5)
         assert rep.p_or_pi == pytest.approx(exact, rel=1e-3)
         assert rep.direction == "positive"
+
+    @given(y1=st.integers(5, 500), y0=st.integers(5, 500), z=st.floats(-4.0, 4.0))
+    @settings(max_examples=25, deadline=None)
+    def test_flat_grid_pi_matches_beta_tail(self, y1, y0, z):
+        # Under a flat prior the arm rates are Gamma(y, E) a posteriori, so
+        # P(beta1 < 0) = I_x(y1, y0) at x = E1 / (E1 + E0). The exposure ratio
+        # is drawn through the Wald z, so few draws fall outside |z| <= 4.
+        se = math.sqrt(1.0 / y1 + 1.0 / y0)
+        e0 = 1000.0
+        e1 = e0 * (y1 / y0) * math.exp(-z * se)
+        data = pg.ModelData(y=np.array([float(y1), float(y0)]),
+                            X=np.array([[1.0, 1.0], [1.0, 0.0]]),
+                            offset=np.log(np.array([e1, e0]) / 1000.0))
+        fit = pg.fit_irls("poisson", "log", data)
+        assume(abs(wald_pvalue(fit, 1.0, 1).z) <= 4.0)
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
+        gp = pg.grid_posterior(pg.vectorized_loglik("poisson", "log", data), [None, None],
+                               bounds, resolution=801)
+        x = e1 / (e1 + e0)
+        exact = 2.0 * min(special.betainc(y1, y0, x), special.betainc(y0, y1, 1.0 - x))
+        assert pi_value_from_grid(gp, 1).p_or_pi == pytest.approx(exact, rel=0.01)
 
     def test_empirical_floor(self, rng):
         x = rng.normal(10.0, 1.0, 500)      # no draws below zero

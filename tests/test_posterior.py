@@ -141,6 +141,68 @@ class TestScaleMarginalOracle:
             assert out[key] == pytest.approx(2.0 * cdf[i], rel=1e-4)
 
 
+def _kernel_models():
+    """One model per family on 12 observations.
+
+    From 8 observations on, the kernel's sum down each column and the row sum
+    of ``log_likelihood`` add the terms in different orders.
+    """
+    rng = np.random.default_rng(11)
+    n = 12
+    X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, n)])
+    off = rng.uniform(-0.3, 0.3, n)
+    m = rng.integers(5, 40, n).astype(float)
+    return {
+        "gaussian": ("identity", ModelData(y=rng.normal(1.0, 1.0, n), X=X, offset=off), 0.7),
+        "poisson": ("log", ModelData(y=rng.poisson(4.0, n).astype(float), X=X, offset=off), 1.0),
+        "binomial": ("logit", ModelData(y=rng.binomial(m.astype(int), 0.4) / m, X=X, offset=off,
+                                        weights=m), 1.0),
+        "gamma": ("log", ModelData(y=rng.gamma(3.0, 0.5, n), X=X, offset=off), 0.4),
+    }
+
+
+def _loglik_by_point(family, link, data, betas, phi):
+    """glm.log_likelihood at each point, with DomainError mapped to -inf."""
+    out = np.empty(len(betas))
+    for k, b in enumerate(betas):
+        try:
+            out[k] = pg.log_likelihood(family, link, b, phi, data)
+        except pg.DomainError:
+            out[k] = -np.inf
+    return out
+
+
+class TestVectorizedLoglikOracle:
+    @pytest.mark.parametrize("family", ["gaussian", "poisson", "binomial", "gamma"])
+    def test_batch_and_single_point_match_log_likelihood(self, family):
+        link, data, phi = _kernel_models()[family]
+        betas = np.random.default_rng(3).normal([0.5, -0.3], 0.4, size=(200, 2))
+        ll = pg.vectorized_loglik(family, link, data, phi)
+        got = ll(betas)
+        assert got.shape == (200,)
+        np.testing.assert_allclose(got, _loglik_by_point(family, link, data, betas, phi),
+                                   rtol=1e-13, atol=0.0)
+        single = ll(betas[0])
+        assert single.shape == (1,)
+        assert single[0] == pytest.approx(pg.log_likelihood(family, link, betas[0], phi, data),
+                                          rel=1e-13)
+
+    def test_mixed_domain_gives_minus_inf_exactly_where_log_likelihood_raises(self):
+        data = ModelData(y=np.array([2.0, 9.0, 5.0, 3.0, 7.0, 0.0, 4.0, 6.0, 1.0, 8.0]),
+                         X=np.column_stack([np.ones(10), np.linspace(-1.0, 1.0, 10)]))
+        betas = np.column_stack([np.linspace(-1.0, 8.0, 30), np.linspace(6.0, -4.0, 30)])
+        ll = pg.vectorized_loglik("poisson", "identity", data)
+        ref = _loglik_by_point("poisson", "identity", data, betas, 1.0)
+        got = ll(betas)
+        assert np.isneginf(ref).any() and np.isfinite(ref).any()
+        assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+        f = np.isfinite(ref)
+        np.testing.assert_allclose(got[f], ref[f], rtol=1e-13, atol=0.0)
+        single = np.array([ll(b)[0] for b in betas])
+        assert np.array_equal(np.isneginf(single), np.isneginf(ref))
+        np.testing.assert_allclose(single[f], ref[f], rtol=1e-13, atol=0.0)
+
+
 class TestGridPosterior:
     def test_matches_analytic_normal(self):
         # gaussian likelihood with flat prior: posterior is exactly normal
@@ -188,6 +250,45 @@ class TestGridPosterior:
         assert not gp.proper
         with pytest.raises(pg.SupportError):
             gp.density()
+
+    def test_marginals_cached_read_only_and_indexed_from_the_end(self, credence_primary):
+        data, fit = credence_primary
+        se = fit.se(1.0)
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, se)]
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        gp = grid_posterior(ll, [None, None], bounds, resolution=201)
+        grid, dens = gp.marginal(1)
+        assert gp.marginal(-1) is gp.marginal(1)
+        assert np.array_equal(gp.marginal(-2)[1], gp.marginal(0)[1])
+        with pytest.raises(ValueError):
+            dens[0] = 1.0
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        assert gp.axes[1].flags.writeable
+        first = pg.pi_value_from_grid(gp, 1)
+        assert gp.mean_sd(1) == gp.mean_sd(-1)
+        assert pg.pi_value_from_grid(gp, 1) == first == pg.pi_value_from_grid(gp, -1)
+        assert gp.marginal_cdf_at(-1, 0.0) == gp.marginal_cdf_at(1, 0.0)
+        # mean_sd first, then pi, equals pi on a fresh object
+        fresh = pg.GridPosterior(gp.axes, gp.log_density, gp.log_normalizer, gp.proper)
+        fresh.mean_sd(1)
+        assert pg.pi_value_from_grid(fresh, 1) == first
+        for bad in (2, -3):
+            with pytest.raises(pg.DomainError):
+                gp.marginal(bad)
+            with pytest.raises(pg.DomainError):
+                pg.pi_value_from_grid(gp, bad)
+
+    def test_edge_mass_shrinks_with_wider_bounds(self, credence_primary):
+        data, fit = credence_primary
+        se = fit.se(1.0)
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        for k, check in ((8.0, lambda e: e < 1e-12), (1.0, lambda e: e > 1e-4)):
+            bounds = [(b - k * s, b + k * s) for b, s in zip(fit.beta_hat, se)]
+            gp = grid_posterior(ll, [None, None], bounds, resolution=801)
+            for index in (0, 1):
+                lo, hi = gp.edge_mass(index)
+                assert check(lo) and check(hi), (k, index, lo, hi)
 
     def test_dimension_limit(self):
         with pytest.raises(pg.DomainError):
