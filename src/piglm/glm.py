@@ -13,7 +13,7 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import (
     ConvergenceError,
@@ -536,27 +536,32 @@ def _scale_estimates_impl(family, link, data, beta, mu, dev):
     phi_eql = dev / n
     phi_dev = dev / (n - p)
 
-    if family.name in ("gaussian", "gamma"):
-        def profile(log_phi):
-            return (p / 2.0) * log_phi + float(
-                np.sum(_loglik_terms(family, data.y, mu, math.exp(log_phi), data.weights))
-            )
-    else:
-        # fixed-scale families: only the phi-dependent extended quasi-likelihood
-        # terms matter, -(n/2) log phi - D/(2 phi), plus the (p/2) log phi adjustment
-        def profile(log_phi):
-            phi = math.exp(log_phi)
-            return (p / 2.0) * log_phi - (n / 2.0) * log_phi - dev / (2.0 * phi)
-
-    center = math.log(phi_dev)
-    res = optimize.minimize_scalar(
-        lambda lp: -profile(lp),
-        bounds=(center - 5.0, center + 5.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    phi_mpl = float(math.exp(res.x))
+    # the adjusted profile (p/2) log phi + l(phi): for gaussian, poisson and
+    # binomial it is (p-n)/2 log phi - D/(2 phi), which peaks at D/(n-p)
+    phi_mpl = _gamma_phi_mpl(data.y, mu, p) if family.name == "gamma" else phi_dev
     return ScaleEstimates(phi_mom, phi_eql, phi_dev, phi_mpl)
+
+
+def _gamma_phi_mpl(y, mu, p):
+    """Maximizer of the gamma profile (p/2) log phi + l(phi), by Newton in nu = 1/phi.
+
+    The nu score n (log nu - digamma(nu)) - p/(2 nu) + S, with
+    S = sum_i (log(y_i/mu_i) - y_i/mu_i + 1) < 0, is convex and falls from
+    +inf to 0. Since log nu - digamma(nu) > 1/(2 nu), its root lies above
+    nu_0 = (n - p)/(-2 S), so Newton from nu_0 climbs to the root monotonically.
+    """
+    n = y.size
+    r = y / mu
+    s = float(np.sum(np.log(r) - r + 1.0))
+    nu = (n - p) / (-2.0 * s)
+    for _ in range(100):
+        f = n * (math.log(nu) - float(special.digamma(nu))) - p / (2.0 * nu) + s
+        df = n * (1.0 / nu - float(special.polygamma(1, nu))) + p / (2.0 * nu * nu)
+        step = -f / df
+        nu += step
+        if abs(step) <= 1e-15 * nu:
+            break
+    return 1.0 / nu
 
 
 def scale_estimates(family, link, data: ModelData, fit: FitResult) -> ScaleEstimates:

@@ -8,6 +8,7 @@ controlled in one place.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -17,12 +18,14 @@ from .errors import DegeneracyError, DomainError
 
 __all__ = [
     "std_normal_cdf",
+    "std_normal_logcdf",
     "std_normal_logpdf",
     "std_normal_quantile",
     "student_t_cdf",
     "student_t_logpdf",
     "exp_integral_gamma0",
     "erfc_inverse",
+    "gauss_legendre",
     "RngStream",
     "MixtureModel1D",
     "fit_gaussian_mixture_1d",
@@ -40,6 +43,15 @@ def std_normal_cdf(x):
     if np.any(np.isnan(x)):
         raise DomainError("NaN passed to std_normal_cdf")
     out = special.ndtr(x)
+    return out if out.ndim else float(out)
+
+
+def std_normal_logcdf(x):
+    """log Phi(x), finite far past the point where Phi(x) underflows (log Phi(-40) ~ -804.6)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x)):
+        raise DomainError("NaN passed to std_normal_logcdf")
+    out = special.log_ndtr(x)
     return out if out.ndim else float(out)
 
 
@@ -63,7 +75,12 @@ def student_t_cdf(x, nu):
     if not nu > 0:
         raise DomainError("student_t_cdf requires nu > 0")
     x = np.asarray(x, dtype=float)
-    out = special.stdtr(nu, x)
+    if nu == 1.0:
+        # the Cauchy CDF; stdtr's nu = 1 branch loses absolute accuracy near 0
+        # (off by 1.6e-9 at x = 1e-8)
+        out = np.arctan2(1.0, -x) / math.pi
+    else:
+        out = special.stdtr(nu, x)
     return out if out.ndim else float(out)
 
 
@@ -101,6 +118,20 @@ def erfc_inverse(p):
         raise DomainError("erfc_inverse requires 0 < p < 2")
     out = special.erfcinv(p)
     return out if out.ndim else float(out)
+
+
+@functools.cache
+def gauss_legendre(n: int):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Built on first use: ``leggauss`` runs an eigensolver, whose library code
+    would otherwise add to the resident memory of every process that
+    imports piglm.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclasses.dataclass(frozen=True)

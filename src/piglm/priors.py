@@ -15,10 +15,10 @@ import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, SupportError
-from .numerics import exp_integral_gamma0, std_normal_cdf, student_t_logpdf
+from .numerics import (exp_integral_gamma0, gauss_legendre, std_normal_cdf, student_t_cdf,
+                       student_t_logpdf)
 
 __all__ = [
     "PriorSpec",
@@ -176,6 +176,25 @@ def _uniform_sigma_kernel(u, sigma_min, sigma_max):
     return out
 
 
+def _explore_uniform_sigma(b, lo, hi, sigma_min, sigma_max):
+    """The sigma-mixture kernel summed over centers in [lo, hi].
+
+    Swapping the order of integration gives
+    (1/(sqrt(pi) (sigma_max - sigma_min))) int [Phi((b-lo)/s) - Phi((b-hi)/s)] ds
+    over s in [sigma_min, sigma_max]: the kernel's printed 1/sqrt(pi)
+    normalization times the center integral of N(b | c, s^2). The s integral
+    runs on 32 fixed Gauss-Legendre nodes in log s, where the integrand stays
+    smooth even when sigma_max/sigma_min is large.
+    """
+    nodes, weights = gauss_legendre(32)
+    a, c = math.log(sigma_min), math.log(sigma_max)
+    s = np.exp(0.5 * (c - a) * nodes + 0.5 * (a + c))
+    w = 0.5 * (c - a) * weights * s
+    b = b[:, None]
+    inner = std_normal_cdf((b - lo) / s) - std_normal_cdf((b - hi) / s)
+    return (inner @ w) / (math.sqrt(math.pi) * (sigma_max - sigma_min))
+
+
 def _t_kernel(u, nu0, s):
     return np.exp(student_t_logpdf(np.asarray(u, dtype=float), nu0, 0.0, s))
 
@@ -202,22 +221,15 @@ def prior_pdf(spec: PriorSpec, beta):
         out = _uniform_sigma_kernel(b - spec.beta0, *spec.sigma_bounds)
     elif k == "explore_uniform_sigma":
         lo, hi = spec.bounds
-        smin, smax = spec.sigma_bounds
-        out = np.array([
-            integrate.quad(lambda c, bb=bb: float(_uniform_sigma_kernel(np.array(bb - c), smin, smax)),
-                           lo, hi, epsabs=1e-10, limit=200)[0]
-            for bb in b
-        ])
+        out = _explore_uniform_sigma(b, lo, hi, *spec.sigma_bounds)
         out = np.where((b >= lo) & (b <= hi), out, 0.0)
     elif k == "test_invchisq":
         out = _t_kernel(b - spec.beta0, spec.nu0, spec.s)
     elif k == "explore_invchisq":
         lo, hi = spec.bounds
-        out = np.array([
-            integrate.quad(lambda c, bb=bb: float(_t_kernel(bb - c, spec.nu0, spec.s)),
-                           lo, hi, epsabs=1e-10, limit=200)[0]
-            for bb in b
-        ])
+        # exact integral of the Student-t test kernel over the center bounds
+        out = (student_t_cdf((b - lo) / spec.s, spec.nu0)
+               - student_t_cdf((b - hi) / spec.s, spec.nu0))
         out = np.where((b >= lo) & (b <= hi), out, 0.0)
     else:  # pragma: no cover
         raise DomainError(k)

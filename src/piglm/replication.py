@@ -15,12 +15,12 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BoundaryError, DomainError, HarnessError
 from .glm import FitResult, ModelData, _resolve, fit_irls_batch
 from .inference import pi_value_from_grid
-from .numerics import RngStream, std_normal_cdf, std_normal_quantile
+from .numerics import (RngStream, gauss_legendre, std_normal_cdf, std_normal_logcdf,
+                       std_normal_quantile)
 from .posterior import LaplacePosterior, ScaleMarginal, grid_posterior, vectorized_loglik
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 LN10 = math.log(10.0)
+LN2 = math.log(2.0)
+_RPD_HALF_WIDTH = 30.0 * math.sqrt(2.0)
 
 
 def predictive_posterior(fit: FitResult, phi: float = 1.0) -> dict:
@@ -127,25 +129,37 @@ def rpd_median(pi_init: float) -> float:
     return pi_init
 
 
-def rpd_moments(pi_init: float, cap: float = 60.0) -> dict:
-    """Mean and sd of the replicate p-value in -log10 and raw scales."""
+def rpd_moments(pi_init: float) -> dict:
+    """Mean and sd of the replicate p-value in -log10 and raw scales.
+
+    The replicate z is N(z_init, 2), with two-sided p(z) = 2 Phi(-|z|) and
+    x(z) = -log10 p(z) taken from log Phi, so x stays exact far past the
+    underflow of p. All four moments are one weighted sum on 64 fixed
+    Gauss-Legendre nodes per piece over z_init +- 30 sqrt(2), split at the
+    kink z = 0, at z_init/3, where the raw-moment integrand peaks, and at
+    z_init. The log10 variance is taken about -log10 pi_init, so it does not
+    cancel in the far tail.
+    """
     if not 0.0 < pi_init < 1.0:
         raise DomainError("pi_init must be in (0, 1)")
-
-    def mom(f):
-        val, _ = integrate.quad(lambda x: f(x) * rpd_pdf(x, pi_init), 0.0, cap,
-                                limit=400, epsabs=1e-12)
-        return val
-
-    m_log = mom(lambda x: x)
-    v_log = mom(lambda x: x * x) - m_log**2
-    m_raw = mom(lambda x: 10.0 ** (-x))
-    v_raw = mom(lambda x: 10.0 ** (-2 * x)) - m_raw**2
+    nodes, weights = gauss_legendre(64)
+    t = _z_init(pi_init)
+    # 0 < t < 38.5 for any double pi_init, so the kink lies inside the range
+    cuts = np.array([t - _RPD_HALF_WIDTH, 0.0, t / 3.0, t, t + _RPD_HALF_WIDTH])
+    lo, hi = cuts[:-1, None], cuts[1:, None]
+    z = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).ravel()
+    w = (0.5 * (hi - lo) * weights).ravel() * np.exp(
+        -0.25 * (z - t) ** 2 - 0.5 * math.log(4.0 * math.pi))
+    log_p = LN2 + std_normal_logcdf(-np.abs(z))
+    shift = -math.log10(pi_init)
+    dx = -log_p / LN10 - shift
+    integrands = np.stack([dx, dx * dx, np.exp(log_p), np.exp(2.0 * log_p)])
+    m_dx, m_dx2, m_raw, m_raw2 = (integrands @ w).tolist()
     return {
-        "mean_log10": m_log,
-        "sd_log10": math.sqrt(max(v_log, 0.0)),
+        "mean_log10": shift + m_dx,
+        "sd_log10": math.sqrt(max(m_dx2 - m_dx**2, 0.0)),
         "mean_raw": m_raw,
-        "sd_raw": math.sqrt(max(v_raw, 0.0)),
+        "sd_raw": math.sqrt(max(m_raw2 - m_raw**2, 0.0)),
     }
 
 
@@ -166,12 +180,16 @@ class RpdCurve:
 
 
 def rpd_curve(pi_init: float, cap: float = 30.0, resolution: int = 2001) -> RpdCurve:
-    """Tabulated replicate p-value density/CDF on -log10 p in [0, cap]."""
+    """Tabulated replicate p-value density/CDF on -log10 p in [0, cap].
+
+    ``cap`` sets the tabulation range only; the moments come from
+    ``rpd_moments``, which take the whole replicate distribution.
+    """
     grid = np.linspace(0.0, cap, resolution)
     pdf = rpd_pdf(grid, pi_init)
     cdf = rpd_cdf(grid, pi_init)
     tail = 1.0 - float(rpd_cdf(cap, pi_init))
-    mom = rpd_moments(pi_init, cap=max(cap, 60.0))
+    mom = rpd_moments(pi_init)
     return RpdCurve(grid, pdf, cdf, tail, mom["mean_log10"], mom["sd_log10"],
                     mom["mean_raw"], mom["sd_raw"])
 
@@ -332,6 +350,8 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     if initial.boundary or not initial.converged:
         raise BoundaryError("replication harness needs a converged interior fit")
     rep_data = config.replicate_design if config.replicate_design is not None else data
+    if not -rep_data.p <= config.target_index < rep_data.p:
+        raise DomainError(f"target_index {config.target_index} out of range for p = {rep_data.p}")
     beta_hat = initial.beta_hat
     cov_u = initial.cov_unscaled
     scale_marginal = None

@@ -149,6 +149,59 @@ class TestScaleEstimates:
         assert fit.scale.phi_mpl == pytest.approx(0.096450, abs=1e-5)
         assert abs(fit.scale.phi_mpl - fit.scale.phi_dev) / fit.scale.phi_dev < 0.05
 
+    @pytest.mark.parametrize("shape,seed", [(10.0, 7), (0.8, 3), (40.0, 5)])
+    def test_gamma_profile_estimate_oracle(self, shape, seed):
+        from scipy import optimize
+
+        from piglm.glm import _loglik_terms
+
+        gen = np.random.default_rng(seed)
+        n = 40
+        X = np.column_stack([np.ones(n), np.linspace(-1, 1, n)])
+        y = gen.gamma(shape, np.exp(X @ np.array([1.0, 0.5])) / shape)
+        data = ModelData(y=y, X=X)
+        fit = fit_irls("gamma", "log", data)
+        mu = np.exp(X @ fit.beta_hat)
+
+        def profile(log_phi):
+            # (p/2) log phi + l(phi) from the exact gamma log density
+            return log_phi + float(np.sum(_loglik_terms(FAMILIES["gamma"], y, mu,
+                                                        math.exp(log_phi), data.weights)))
+
+        lp = math.log(fit.scale.phi_mpl)
+        # the score vanishes: the Newton step in log phi from central differences
+        # is 1.6e-9 here, and 2.8e-8 for a phi off by 3e-8
+        h = 1e-4
+        d1 = (profile(lp + h) - profile(lp - h)) / (2.0 * h)
+        d2 = (profile(lp + h) - 2.0 * profile(lp) + profile(lp - h)) / h**2
+        assert d2 < 0.0
+        assert abs(d1 / d2) < 5e-9
+        # bounded Brent finds a flat maximum only to about
+        # sqrt(eps |profile| / curvature), 3e-8 relative on these models
+        res = optimize.minimize_scalar(lambda t: -profile(t), bounds=(lp - 5.0, lp + 5.0),
+                                       method="bounded", options={"xatol": 1e-12})
+        assert fit.scale.phi_mpl == pytest.approx(math.exp(res.x), rel=1e-7)
+
+    @pytest.mark.parametrize("family,link", [("gaussian", "identity"), ("poisson", "log"),
+                                             ("binomial", "logit")])
+    def test_profile_estimate_closed_form(self, family, link):
+        # (p-n)/2 log phi - D/(2 phi) peaks at D/(n-p)
+        gen = np.random.default_rng(12)
+        n = 30
+        x = np.linspace(0.0, 2.0, n)
+        X = np.column_stack([np.ones(n), x])
+        w = gen.uniform(0.5, 2.0, n)
+        if family == "gaussian":
+            y = 1.0 + 0.5 * x + gen.standard_normal(n) / np.sqrt(w)
+        elif family == "poisson":
+            y, w = gen.poisson(np.exp(1.0 + 0.5 * x)).astype(float), None
+        else:
+            w = np.full(n, 20.0)
+            y = gen.binomial(20, 0.3 + 0.1 * x) / 20.0
+        data = ModelData(y=y, X=X, weights=w)
+        est = fit_irls(family, link, data).scale
+        assert est.phi_mpl == est.phi_dev
+
     def test_saturated_model_raises(self):
         data = ModelData(y=np.array([1.0, 2.0]), X=np.eye(2))
         fit = fit_irls("gaussian", "identity", data)

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -249,3 +254,24 @@ class TestSizeLimits:
     def test_the_limit_itself_is_accepted(self, args, limit):
         with pytest.raises(_Reached):
             main(args + [str(limit)])
+
+
+class TestImportFloor:
+    """scipy.integrate and scipy.optimize cost more to import than numpy, scipy.special
+    and click together; no CLI call may pay for them."""
+
+    def test_cli_import_leaves_integrate_and_optimize_out(self):
+        src = os.path.dirname(os.path.dirname(pg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("import sys, piglm, piglm.cli; print(' '.join(m for m in "
+                "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == ""
+
+    def test_no_source_module_uses_them(self):
+        for path in sorted(pathlib.Path(pg.__file__).parent.glob("*.py")):
+            hits = [n for n, line in enumerate(path.read_text().splitlines(), 1)
+                    if re.search("integrate|optimize", line)]
+            assert hits == [], f"{path.name}: lines {hits}"

@@ -10,6 +10,7 @@ from piglm.numerics import (
     erfc_inverse,
     exp_integral_gamma0,
     std_normal_cdf,
+    std_normal_logcdf,
     std_normal_logpdf,
     std_normal_quantile,
     student_t_cdf,
@@ -46,6 +47,18 @@ class TestNormal:
         assert out.shape == (3,)
         assert isinstance(std_normal_cdf(0.3), float)
 
+    def test_logcdf_past_underflow(self):
+        # log Phi(-x) from the same asymptotic series, where Phi(-x) itself is 0
+        for x in (37.0, 40.0, 1e3):
+            lead = std_normal_logpdf(x) - math.log(x)
+            asym = lead + math.log1p(-1.0 / x**2 + 3.0 / x**4 - 15.0 / x**6)
+            assert std_normal_logcdf(-x) == pytest.approx(asym, rel=1e-12)
+        assert std_normal_cdf(-40.0) == 0.0
+        assert std_normal_logcdf(np.array([0.0]))[0] == pytest.approx(math.log(0.5), rel=1e-15)
+        assert isinstance(std_normal_logcdf(0.3), float)
+        with pytest.raises(pg.DomainError):
+            std_normal_logcdf(float("nan"))
+
     def test_domain(self):
         with pytest.raises(pg.DomainError):
             std_normal_quantile(0.0)
@@ -60,6 +73,12 @@ class TestStudentT:
         # nu=1 cdf is 1/2 + arctan(x)/pi
         for x in (-3.0, -0.5, 0.0, 1.2, 10.0):
             assert student_t_cdf(x, 1.0) == pytest.approx(0.5 + math.atan(x) / math.pi, abs=1e-12)
+
+    def test_cauchy_relative_precision_near_zero_and_in_the_tail(self):
+        # F(x) = atan2(1, -x)/pi: 1/2 + x/pi near 0, and 1/(pi |x|) far below
+        for x in (1e-8, -1e-8, 4e-10):
+            assert student_t_cdf(x, 1.0) == pytest.approx(0.5 + x / math.pi, rel=1e-15)
+        assert student_t_cdf(-1e12, 1.0) == pytest.approx(1.0 / (math.pi * 1e12), rel=1e-12)
 
     def test_two_dof_closed_form(self):
         # nu=2 cdf is 1/2 + x / (2 sqrt(2 + x^2))
@@ -118,6 +137,17 @@ class TestErfcInverse:
             erfc_inverse(0.0)
         with pytest.raises(pg.DomainError):
             erfc_inverse(2.0)
+
+
+class TestGaussLegendre:
+    def test_exact_to_degree_2n_minus_1_and_read_only(self):
+        nodes, weights = pg.numerics.gauss_legendre(32)
+        for k in (0, 2, 62):
+            assert weights @ nodes**k == pytest.approx(2.0 / (k + 1), rel=1e-13)
+        assert weights @ nodes**63 == pytest.approx(0.0, abs=1e-15)
+        assert pg.numerics.gauss_legendre(32)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
 
 class TestRngStream:

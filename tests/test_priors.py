@@ -87,6 +87,58 @@ class TestKernels:
         assert pg.prior_logpdf(spec, 7.0) == -np.inf
 
 
+def _center_convolution_by_quad(kernel, b, lo, hi):
+    """Per-point quad of a test kernel over centers in [lo, hi]; 0 outside the bounds."""
+    out = []
+    for bb in b:
+        if not lo <= bb <= hi:
+            out.append(0.0)
+            continue
+        pts = [bb] if lo < bb < hi else None    # kernel peak (sigma mixture: log singularity)
+        out.append(integrate.quad(lambda c: float(kernel(bb - c)), lo, hi, points=pts,
+                                  limit=400, epsabs=0.0, epsrel=1e-12)[0])
+    return np.array(out)
+
+
+class TestExploreConvolutions:
+    """The explore priors against the center integral of their test kernel."""
+
+    @staticmethod
+    def _grid(lo, hi):
+        width = hi - lo
+        inside = np.linspace(lo + 0.01 * width, hi - 0.01 * width, 15)
+        edges = [lo, hi, lo + 1e-9 * width, hi - 1e-9 * width]
+        outside = [lo - 0.3 * width, lo - 1e-9 * width, hi + 1e-9 * width, hi + 0.3 * width]
+        return np.concatenate([inside, edges, outside])
+
+    @pytest.mark.parametrize("bounds,sigma_bounds", [
+        ((-200.0, 200.0), (900.0, 1100.0)),     # criterion 10
+        ((-4.0, 4.0), (0.5, 2.0)),
+        ((-5.0, 5.0), (0.1, 10.0)),             # a hundredfold sd range
+    ])
+    def test_uniform_sigma_against_quadrature(self, bounds, sigma_bounds):
+        spec = PriorSpec("explore_uniform_sigma", bounds=bounds, sigma_bounds=sigma_bounds)
+        b = self._grid(*bounds)
+        got = prior_pdf(spec, b)
+        ref = _center_convolution_by_quad(
+            lambda u: _uniform_sigma_kernel(np.array(u), *sigma_bounds), b, *bounds)
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("bounds,nu0,s", [
+        ((-200.0, 200.0), 1.0, 1000.0),         # criterion 10
+        ((-6.0, 6.0), 0.7, 2.0),
+        ((-3.0, 5.0), 25.0, 0.5),
+    ])
+    def test_invchisq_against_quadrature(self, bounds, nu0, s):
+        spec = PriorSpec("explore_invchisq", bounds=bounds, nu0=nu0, s=s)
+        b = self._grid(*bounds)
+        got = prior_pdf(spec, b)
+        ref = _center_convolution_by_quad(lambda u: stats.t.pdf(u, nu0, scale=s), b, *bounds)
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
 class TestLocalUniformity:
     def test_wide_gaussian_nearly_flat(self):
         spec = PriorSpec("test_fixed_sigma", beta0=0.0, sigma=1000.0)

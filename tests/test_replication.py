@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import piglm as pg
 from piglm import replication
@@ -97,6 +97,86 @@ class TestReplicatePValueDensity:
             rpd_pdf(-0.5, 0.01)
         with pytest.raises(pg.DomainError):
             rpd_pdf(1.0, 0.0)
+
+
+def _rpd_moments_by_quad(pi0):
+    """The four rpd moments by quad over the replicate z ~ N(z0, 2), split at 0 and z0.
+
+    x(z) = -log10(2 Phi(-|z|)) comes from norm.logsf, so it stays exact far out;
+    the second moments are central, each about its own quad mean.
+    """
+    z0 = stats.norm.isf(pi0 / 2.0)
+    sd = math.sqrt(2.0)
+    lo, hi = z0 - 30.0 * sd, z0 + 30.0 * sd
+
+    def log_p(z):
+        return math.log(2.0) + stats.norm.logsf(abs(z))
+
+    def mom(f, peak=None):
+        g = lambda z: f(z) * stats.norm.pdf(z, z0, sd)
+        total = 0.0
+        for a, b in ((lo, 0.0), (0.0, z0), (z0, hi)):
+            pts = [peak] if peak is not None and a < peak < b else None
+            total += integrate.quad(g, a, b, points=pts, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+        return total
+
+    m_log = mom(lambda z: -log_p(z) / math.log(10.0))
+    v_log = mom(lambda z: (-log_p(z) / math.log(10.0) - m_log) ** 2)
+    # the raw integrand peaks near z0/3, a narrow bump far into (0, z0) for small pi0
+    m_raw = mom(lambda z: math.exp(log_p(z)), peak=z0 / 3.0)
+    v_raw = mom(lambda z: (math.exp(log_p(z)) - m_raw) ** 2, peak=z0 / 3.0)
+    return {"mean_log10": m_log, "sd_log10": math.sqrt(v_log),
+            "mean_raw": m_raw, "sd_raw": math.sqrt(v_raw)}
+
+
+def _normal_orthant(h, k, rho):
+    """P(X < h, Y < k) for a standard bivariate normal with correlation rho (Owen's T)."""
+    r = math.sqrt(1.0 - rho * rho)
+    beta = 0.0 if h * k > 0 or (h * k == 0 and h + k >= 0) else 0.5
+    return (0.5 * special.ndtr(h) + 0.5 * special.ndtr(k) - beta
+            - special.owens_t(h, (k - rho * h) / (h * r))
+            - special.owens_t(k, (h - rho * k) / (k * r)))
+
+
+class TestRpdMomentsOracle:
+    @pytest.mark.parametrize("pi0", [0.33, 0.05, 1e-5, 1e-60, 1e-100, 1e-300])
+    def test_matches_quadrature_over_replicate_z(self, pi0):
+        got = rpd_moments(pi0)
+        ref = _rpd_moments_by_quad(pi0)
+        for key, val in ref.items():
+            assert got[key] == pytest.approx(val, rel=1e-9), key
+
+    def test_far_tail_centres_on_the_initial_evidence(self):
+        # the replicate z is symmetric about z0, so E[-log10 p] sits just above
+        # -log10 pi0, which the old truncation at x = 60 lost
+        for pi0, mean, sd in ((1e-60, 60.433, 10.153), (1e-100, 100.433, 13.129),
+                              (1e-300, 300.434, 22.790)):
+            m = rpd_moments(pi0)
+            assert m["mean_log10"] == pytest.approx(mean, abs=5e-4)
+            assert m["sd_log10"] == pytest.approx(sd, abs=5e-4)
+
+    @pytest.mark.parametrize("pi0", [0.9, 0.33, 0.05, 1e-3, 1e-5])
+    def test_mean_raw_closed_form(self, pi0):
+        # E[2 Phi(-Z)] over all z is predictive_pi; for z < 0 the p-value is
+        # 2 Phi(Z) instead, and the difference is two orthant probabilities of
+        # (W + Z, Z) and (W - Z, Z) with W ~ N(0, 1) independent of Z ~ N(z0, 2)
+        z0 = stats.norm.isf(pi0 / 2.0)
+        rho = 2.0 / math.sqrt(6.0)
+        h, k = z0 / math.sqrt(3.0), -z0 / math.sqrt(2.0)
+        correction = 2.0 * (_normal_orthant(-h, k, rho) - _normal_orthant(h, k, -rho))
+        expected = predictive_pi(pi0) - correction
+        assert rpd_moments(pi0)["mean_raw"] == pytest.approx(expected, rel=1e-12)
+
+    def test_curve_cap_sets_the_tabulation_only(self):
+        short, long = rpd_curve(1e-3, cap=10.0, resolution=101), rpd_curve(1e-3, cap=30.0)
+        assert short.grid[-1] == 10.0
+        assert (short.mean_log10, short.sd_log10, short.mean_raw, short.sd_raw) == (
+            long.mean_log10, long.sd_log10, long.mean_raw, long.sd_raw)
+
+    def test_validation(self):
+        for bad in (0.0, 1.0, -0.1):
+            with pytest.raises(pg.DomainError):
+                rpd_moments(bad)
 
 
 class TestKernel:
@@ -220,6 +300,26 @@ class TestHarness:
             ReplicationConfig(n_sim=100, seed=pg.RngStream(1), analyses=())
         with pytest.raises(pg.DomainError):
             ReplicationConfig(n_sim=100, seed=pg.RngStream(1), n_workers=2)
+
+    @pytest.mark.parametrize("analyses", [("ml",), ("bayes_flat",)])
+    def test_target_index_checked_before_simulation(self, credence_primary, monkeypatch,
+                                                    analyses):
+        data, fit = credence_primary
+
+        def no_simulation(*args, **kwargs):
+            raise RuntimeError("replicate simulated")
+
+        monkeypatch.setattr(replication, "_simulate_replicate", no_simulation)
+        for bad in (2, 5, -3):
+            cfg = ReplicationConfig(n_sim=100, seed=pg.RngStream(4), analyses=analyses,
+                                    target_index=bad)
+            with pytest.raises(pg.DomainError, match="target_index"):
+                run_replication(fit, "poisson", "log", data, cfg)
+        for good in (-2, 1):
+            cfg = ReplicationConfig(n_sim=100, seed=pg.RngStream(4), analyses=analyses,
+                                    target_index=good)
+            with pytest.raises(RuntimeError, match="replicate simulated"):
+                run_replication(fit, "poisson", "log", data, cfg)
 
     @pytest.mark.parametrize("family,link,weights", [
         ("binomial", "logit", np.full(16, 40.0)),
