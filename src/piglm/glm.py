@@ -1,9 +1,11 @@
 """Exponential-family GLMs: likelihood, IRLS fitting, deviance, scale estimates.
 
-Families carry the cumulant b(theta), the variance function V(mu) and the
-canonical map theta(mu); fitting is Fisher scoring (expected information),
-which coincides with Newton for the canonical links used here and is the
-stable choice for gamma-log.
+Families carry the cumulant b(theta), the variance function V(mu), the
+canonical map theta(mu), the exact log density, the IRLS start, the profile
+scale estimate and a simulator; links carry g, its inverse and derivative.
+Fitting is Fisher scoring (expected information), which coincides with
+Newton for the canonical links used here and is the stable choice for
+gamma-log.
 """
 
 from __future__ import annotations
@@ -49,8 +51,42 @@ __all__ = [
 BOUNDARY_GUARD = 15.0
 
 
-def _xlogy(x, y):
-    return special.xlogy(x, y)
+def _binomial_loglik(y, mu, phi, m):
+    k = y * m
+    return (special.gammaln(m + 1.0) - special.gammaln(k + 1.0) - special.gammaln(m - k + 1.0)
+            + special.xlogy(k, mu) + special.xlogy(m - k, 1.0 - mu))
+
+
+def _gamma_loglik(y, mu, phi, weights):
+    nu = weights / phi
+    return nu * np.log(nu / mu) + (nu - 1.0) * np.log(y) - nu * y / mu - special.gammaln(nu)
+
+
+def _gamma_phi_mpl(y, mu, weights, p, phi_dev):
+    """Maximizer of the gamma profile (p/2) log phi + l(phi), by Newton in nu = 1/phi.
+
+    Observation i has shape w_i nu. The nu score is
+    sum_i w_i (log(w_i nu) - digamma(w_i nu)) - p/(2 nu) + S, with
+    S = sum_i w_i (log r_i - r_i + 1) < 0 and r_i = y_i/mu_i. Since
+    log x - digamma(x) - 1/(2x) is positive, convex and decreasing, each term
+    w_i (log(w_i nu) - digamma(w_i nu)) exceeds 1/(2 nu) by a convex decreasing
+    amount, so the score is convex, falls from +inf to S, and is positive at
+    nu_0 = (n - p)/(-2 S). Newton from nu_0 climbs to the root monotonically.
+    """
+    n = y.size
+    r = y / mu
+    s = float(np.sum(weights * (np.log(r) - r + 1.0)))
+    nu = (n - p) / (-2.0 * s)
+    for _ in range(100):
+        a = weights * nu
+        f = float(np.sum(weights * (np.log(a) - special.digamma(a)))) - p / (2.0 * nu) + s
+        df = float(np.sum(weights * (1.0 / nu - weights * special.polygamma(1, a)))) \
+            + p / (2.0 * nu * nu)
+        step = -f / df
+        nu += step
+        if abs(step) <= 1e-15 * nu:
+            break
+    return 1.0 / nu
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,6 +98,11 @@ class Family:
     unit_deviance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], np.ndarray]  # valid mean values
     known_scale: bool
+    loglik: Callable[..., np.ndarray]              # (y, mu, phi, w): exact log density terms
+    start_mu: Callable[..., np.ndarray]            # (y, w): IRLS start mean
+    phi_mpl: Callable[..., float]                  # (y, mu, w, p, phi_dev): argmax (p/2) log phi + l
+    simulate: Callable[..., np.ndarray]            # (rng, mu, phi, w): one response per mean
+    event_counts: Optional[Callable[..., np.ndarray]]  # (y, w): events; None if continuous
 
     def check_mu(self, mu):
         if not np.all(self.in_domain(np.asarray(mu))):
@@ -77,6 +118,8 @@ class LinkFn:
     canonical_for: Optional[str]
 
 
+# For gaussian, poisson and binomial the adjusted profile is
+# (p-n)/2 log phi - D/(2 phi), which peaks at D/(n-p).
 FAMILIES = {
     "gaussian": Family(
         name="gaussian",
@@ -86,24 +129,41 @@ FAMILIES = {
         unit_deviance=lambda y, mu: (y - mu) ** 2,
         in_domain=lambda mu: np.isfinite(mu),
         known_scale=False,
+        loglik=lambda y, mu, phi, w: (-0.5 * np.log(2.0 * math.pi * phi / w)
+                                      - w * (y - mu) ** 2 / (2.0 * phi)),
+        start_mu=lambda y, w: y.astype(float),
+        phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
+        simulate=lambda rng, mu, phi, w: mu + rng.standard_normal(len(mu)) * np.sqrt(phi / w),
+        event_counts=None,
     ),
     "poisson": Family(
         name="poisson",
         b=lambda th: np.exp(th),
         theta=lambda mu: np.log(mu),
         variance=lambda mu: np.asarray(mu, dtype=float),
-        unit_deviance=lambda y, mu: 2.0 * (_xlogy(y, y / mu) - (y - mu)),
+        unit_deviance=lambda y, mu: 2.0 * (special.xlogy(y, y / mu) - (y - mu)),
         in_domain=lambda mu: mu > 0,
         known_scale=True,
+        loglik=lambda y, mu, phi, w: special.xlogy(y, mu) - mu - special.gammaln(y + 1.0),
+        start_mu=lambda y, w: np.where(y > 0, y, 0.5),
+        phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
+        simulate=lambda rng, mu, phi, w: rng.poisson(mu).astype(float),
+        event_counts=lambda y, w: y,
     ),
     "binomial": Family(
         name="binomial",
         b=lambda th: np.log1p(np.exp(-np.abs(th))) + np.maximum(th, 0.0),
         theta=lambda mu: np.log(mu / (1.0 - mu)),
         variance=lambda mu: mu * (1.0 - mu),
-        unit_deviance=lambda y, mu: 2.0 * (_xlogy(y, y / mu) + _xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))),
+        unit_deviance=lambda y, mu: 2.0 * (special.xlogy(y, y / mu)
+                                           + special.xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))),
         in_domain=lambda mu: (mu > 0) & (mu < 1),
         known_scale=True,
+        loglik=_binomial_loglik,
+        start_mu=lambda y, w: (y * w + 0.5) / (w + 1.0),
+        phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
+        simulate=lambda rng, mu, phi, w: rng.binomial(w.astype(int), mu) / w,
+        event_counts=lambda y, w: y * w,
     ),
     "gamma": Family(
         name="gamma",
@@ -113,6 +173,11 @@ FAMILIES = {
         unit_deviance=lambda y, mu: 2.0 * (-np.log(y / mu) + (y - mu) / mu),
         in_domain=lambda mu: mu > 0,
         known_scale=False,
+        loglik=_gamma_loglik,
+        start_mu=lambda y, w: np.maximum(y, 1e-8),
+        phi_mpl=_gamma_phi_mpl,
+        simulate=lambda rng, mu, phi, w: rng.gamma(w / phi, mu * phi / w),
+        event_counts=None,
     ),
 }
 
@@ -210,35 +275,6 @@ class FitResult:
         return np.sqrt(phi * np.diag(self.cov_unscaled))
 
 
-def _loglik_terms(family: Family, y, mu, phi, weights):
-    """Exact per-observation log density including the c(y, phi) terms."""
-    name = family.name
-    a = weights
-    if name == "gaussian":
-        return -0.5 * np.log(2.0 * math.pi * phi / a) - a * (y - mu) ** 2 / (2.0 * phi)
-    if name == "poisson":
-        return _xlogy(y, mu) - mu - special.gammaln(y + 1.0)
-    if name == "binomial":
-        m = a
-        k = y * m
-        return (
-            special.gammaln(m + 1.0)
-            - special.gammaln(k + 1.0)
-            - special.gammaln(m - k + 1.0)
-            + _xlogy(k, mu)
-            + _xlogy(m - k, 1.0 - mu)
-        )
-    if name == "gamma":
-        nu = 1.0 / phi
-        return (
-            nu * np.log(nu / mu)
-            + (nu - 1.0) * np.log(y)
-            - nu * y / mu
-            - special.gammaln(nu)
-        )
-    raise DomainError(f"unknown family {name}")
-
-
 def _grid_nodes(axes) -> np.ndarray:
     """(m, k) array of the nodes of the rectangular grid on ``axes``, last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -257,10 +293,10 @@ def _loglik_points(family: Family, link: LinkFn, data: ModelData, betas: np.ndar
     y, w = data.y[:, None], data.weights[:, None]
     ok = family.in_domain(mu).all(axis=0)
     if ok.all():
-        return _loglik_terms(family, y, mu, phi, w).sum(axis=0)
+        return family.loglik(y, mu, phi, w).sum(axis=0)
     out = np.full(betas.shape[0], -np.inf)
     if ok.any():
-        out[ok] = _loglik_terms(family, y, mu[:, ok], phi, w).sum(axis=0)
+        out[ok] = family.loglik(y, mu[:, ok], phi, w).sum(axis=0)
     return out
 
 
@@ -277,7 +313,7 @@ def log_likelihood(family, link, beta, phi, data: ModelData) -> float:
     if not phi > 0:
         raise DomainError("phi must be positive")
     mu, _ = _mu_from_beta(family, link, beta, data)
-    return float(np.sum(_loglik_terms(family, data.y, mu, phi, data.weights)))
+    return float(np.sum(family.loglik(data.y, mu, phi, data.weights)))
 
 
 def score(family, link, beta, phi, data: ModelData) -> np.ndarray:
@@ -313,16 +349,6 @@ def _resolve(family, link):
         return f, LINKS[link]
     except KeyError:
         raise DomainError(f"unknown link {link!r}") from None
-
-
-def _start_mu(family: Family, y, weights):
-    if family.name == "poisson":
-        return np.where(y > 0, y, 0.5)
-    if family.name == "binomial":
-        return (y * weights + 0.5) / (weights + 1.0)
-    if family.name == "gamma":
-        return np.maximum(y, 1e-8)
-    return y.astype(float)
 
 
 def _row_deviance(family: Family, y, mu, weights):
@@ -382,7 +408,7 @@ def fit_irls_batch(family, link, Y, X, offset=None, weights=None,
     n_rep = Y.shape[0]
     off = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    mu0 = _start_mu(family, Y, w)
+    mu0 = family.start_mu(Y, w)
     start_ok = family.in_domain(mu0).all(axis=1)
     beta = np.full((n_rep, p), np.nan)
     eta_out = np.full((n_rep, n), np.nan)
@@ -512,7 +538,7 @@ def fit_irls(family, link, data: ModelData, tol=1e-8, max_iter=50) -> FitResult:
         scale = _scale_estimates_impl(family, link, data, beta, mu, dev)
         if not family.known_scale:
             phi_ll = scale.phi_dev
-    ll = float(np.sum(_loglik_terms(family, data.y, mu, phi_ll, data.weights)))
+    ll = float(np.sum(family.loglik(data.y, mu, phi_ll, data.weights)))
     return FitResult(
         beta_hat=beta,
         cov_unscaled=bf.cov_unscaled[0],
@@ -535,33 +561,8 @@ def _scale_estimates_impl(family, link, data, beta, mu, dev):
     phi_mom = float(np.sum(data.weights * (data.y - mu) ** 2 / V) / (n - p))
     phi_eql = dev / n
     phi_dev = dev / (n - p)
-
-    # the adjusted profile (p/2) log phi + l(phi): for gaussian, poisson and
-    # binomial it is (p-n)/2 log phi - D/(2 phi), which peaks at D/(n-p)
-    phi_mpl = _gamma_phi_mpl(data.y, mu, p) if family.name == "gamma" else phi_dev
-    return ScaleEstimates(phi_mom, phi_eql, phi_dev, phi_mpl)
-
-
-def _gamma_phi_mpl(y, mu, p):
-    """Maximizer of the gamma profile (p/2) log phi + l(phi), by Newton in nu = 1/phi.
-
-    The nu score n (log nu - digamma(nu)) - p/(2 nu) + S, with
-    S = sum_i (log(y_i/mu_i) - y_i/mu_i + 1) < 0, is convex and falls from
-    +inf to 0. Since log nu - digamma(nu) > 1/(2 nu), its root lies above
-    nu_0 = (n - p)/(-2 S), so Newton from nu_0 climbs to the root monotonically.
-    """
-    n = y.size
-    r = y / mu
-    s = float(np.sum(np.log(r) - r + 1.0))
-    nu = (n - p) / (-2.0 * s)
-    for _ in range(100):
-        f = n * (math.log(nu) - float(special.digamma(nu))) - p / (2.0 * nu) + s
-        df = n * (1.0 / nu - float(special.polygamma(1, nu))) + p / (2.0 * nu * nu)
-        step = -f / df
-        nu += step
-        if abs(step) <= 1e-15 * nu:
-            break
-    return 1.0 / nu
+    return ScaleEstimates(phi_mom, phi_eql, phi_dev,
+                          family.phi_mpl(data.y, mu, data.weights, p, phi_dev))
 
 
 def scale_estimates(family, link, data: ModelData, fit: FitResult) -> ScaleEstimates:

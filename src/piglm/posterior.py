@@ -22,7 +22,7 @@ from .errors import (
     MixingError,
     SupportError,
 )
-from .glm import FitResult, ModelData, _grid_nodes, _loglik_points, _resolve
+from .glm import FitResult, ModelData, _grid_nodes, _loglik_points, _resolve, _resolve_family
 from .numerics import RngStream, std_normal_cdf, student_t_cdf
 from .priors import PriorSpec, ScalePriorSpec, prior_logpdf
 
@@ -130,8 +130,6 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
     Analysis, 3rd ed., sec. 14.2). The empirical-Bayes plug-in replaces the
     scale marginal by a point mass at phi_MAP = D/(n-p).
     """
-    from .glm import _resolve_family
-
     family = _resolve_family(family)
     if fit.boundary:
         raise BoundaryError("posterior unavailable for a boundary fit")

@@ -68,6 +68,13 @@ def predictive_pi(pi_init: float) -> float:
     return 2.0 * float(std_normal_cdf(std_normal_quantile(pi_init / 2.0) / math.sqrt(3.0)))
 
 
+def _check_pi_init(pi_init: float) -> None:
+    if not 0.0 < pi_init < 1.0:
+        raise DomainError("pi_init must be in (0, 1)")
+    if pi_init / 2.0 == 0.0:
+        raise DomainError(f"pi_init {pi_init!r} is too small: pi_init/2 underflows to 0")
+
+
 def _z_init(pi_init: float) -> float:
     return -float(std_normal_quantile(pi_init / 2.0))
 
@@ -85,8 +92,7 @@ def rpd_pdf(log10p, pi_init: float):
     reflected normal densities N(+-Phi^{-1}(10^{-x}/2) | Phi^{-1}(pi_init/2),
     sd sqrt(2)).
     """
-    if not 0.0 < pi_init < 1.0:
-        raise DomainError("pi_init must be in (0, 1)")
+    _check_pi_init(pi_init)
     x = np.asarray(log10p, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -104,8 +110,7 @@ def rpd_pdf(log10p, pi_init: float):
 
 def rpd_cdf(log10p, pi_init: float):
     """P(-log10 p_rep <= x), closed two-term normal-CDF form."""
-    if not 0.0 < pi_init < 1.0:
-        raise DomainError("pi_init must be in (0, 1)")
+    _check_pi_init(pi_init)
     x = np.asarray(log10p, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -124,8 +129,7 @@ def rpd_median(pi_init: float) -> float:
     (The folded |z| mapping makes the cdf at -log10 pi_init differ from 0.5 by
     Phi(-sqrt(2) z_init) -- negligible for small pi_init, visible for large.)
     """
-    if not 0.0 < pi_init < 1.0:
-        raise DomainError("pi_init must be in (0, 1)")
+    _check_pi_init(pi_init)
     return pi_init
 
 
@@ -140,8 +144,7 @@ def rpd_moments(pi_init: float) -> dict:
     z_init. The log10 variance is taken about -log10 pi_init, so it does not
     cancel in the far tail.
     """
-    if not 0.0 < pi_init < 1.0:
-        raise DomainError("pi_init must be in (0, 1)")
+    _check_pi_init(pi_init)
     nodes, weights = gauss_legendre(64)
     t = _z_init(pi_init)
     # 0 < t < 38.5 for any double pi_init, so the kink lies inside the range
@@ -271,12 +274,13 @@ def _bayes_priors(tag, p):
     raise DomainError(f"unknown analysis {tag!r}")
 
 
-def _simulate_replicate(r, family, data, beta_hat, cov_u, scale_marginal,
+def _simulate_replicate(r, family, link, data, beta_hat, cov_u, scale_marginal,
                         config: ReplicationConfig, chol):
     """Draw replicate r's generating parameters and response from stream r + 1.
 
-    Returns the record and the simulated response, or None in its place when
-    the replicate fails before any analysis.
+    The response is drawn around the means of the fitted link. Returns the
+    record and the simulated response, or None in its place when the
+    replicate fails before any analysis.
     """
     rng = config.seed.child(r + 1).generator()
     record = {"replicate": r, "failed": False, "failure_reason": ""}
@@ -288,26 +292,14 @@ def _simulate_replicate(r, family, data, beta_hat, cov_u, scale_marginal,
     beta_g, phi_g = config.kernel.apply(beta_init, phi_init, sigma_diag, rng)
     record["beta_g"] = beta_g
     record["phi_g"] = phi_g
-    X, off, w = data.X, data.offset, data.weights
-    eta = X @ beta_g + off
-    name = family.name
+    mu = link.ginv(data.X @ beta_g + data.offset)
     try:
-        if name == "poisson":
-            y = rng.poisson(np.exp(eta)).astype(float)
-        elif name == "binomial":
-            mu = 1.0 / (1.0 + np.exp(-eta))
-            y = rng.binomial(w.astype(int), mu) / w
-        elif name == "gaussian":
-            y = eta + rng.standard_normal(len(eta)) * np.sqrt(phi_g / w)
-        else:  # gamma
-            mu = np.exp(eta)
-            y = rng.gamma(1.0 / phi_g, phi_g * mu)
+        y = family.simulate(rng, mu, phi_g, data.weights)
     except ValueError:
         return _fail(record, "simulation overflow"), None
-    if name in ("poisson", "binomial"):
-        counts = y * (w if name == "binomial" else 1.0)
-        if np.any(counts < config.min_events_guard):
-            return _fail(record, "too few events"), None
+    if family.event_counts is not None \
+            and np.any(family.event_counts(y, data.weights) < config.min_events_guard):
+        return _fail(record, "too few events"), None
     return record, y
 
 
@@ -361,7 +353,7 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     chol = np.linalg.cholesky(cov_u)
     records, survivors, ys = [], [], []
     for r in range(config.n_sim):
-        record, y = _simulate_replicate(r, family, rep_data, beta_hat, cov_u,
+        record, y = _simulate_replicate(r, family, link, rep_data, beta_hat, cov_u,
                                         scale_marginal, config, chol)
         records.append(record)
         if y is not None:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import piglm as pg
 from scipy import linalg
 
-from piglm.glm import (BOUNDARY_GUARD, FAMILIES, LINKS, ModelData, _start_mu, deviance,
+from piglm.glm import (BOUNDARY_GUARD, FAMILIES, LINKS, ModelData, deviance,
                        fit_irls, fit_irls_batch, score)
 
 
@@ -153,8 +153,6 @@ class TestScaleEstimates:
     def test_gamma_profile_estimate_oracle(self, shape, seed):
         from scipy import optimize
 
-        from piglm.glm import _loglik_terms
-
         gen = np.random.default_rng(seed)
         n = 40
         X = np.column_stack([np.ones(n), np.linspace(-1, 1, n)])
@@ -165,8 +163,8 @@ class TestScaleEstimates:
 
         def profile(log_phi):
             # (p/2) log phi + l(phi) from the exact gamma log density
-            return log_phi + float(np.sum(_loglik_terms(FAMILIES["gamma"], y, mu,
-                                                        math.exp(log_phi), data.weights)))
+            return log_phi + float(np.sum(FAMILIES["gamma"].loglik(y, mu, math.exp(log_phi),
+                                                                    data.weights)))
 
         lp = math.log(fit.scale.phi_mpl)
         # the score vanishes: the Newton step in log phi from central differences
@@ -202,11 +200,68 @@ class TestScaleEstimates:
         est = fit_irls(family, link, data).scale
         assert est.phi_mpl == est.phi_dev
 
+    def test_weighted_gamma_matches_scipy_density_and_profile(self):
+        # prior weight w_i gives observation i shape w_i/phi and mean mu_i
+        from scipy import optimize, stats
+
+        gen = np.random.default_rng(31)
+        n, phi = 400, 0.5
+        X = np.column_stack([np.ones(n), np.linspace(-1, 1, n)])
+        w = np.tile([4.0, 0.25], n // 2)
+        mu0 = np.exp(X @ np.array([1.0, 0.5]))
+        y = gen.gamma(w / phi, mu0 * phi / w)
+        data = ModelData(y=y, X=X, weights=w)
+        fit = fit_irls("gamma", "log", data)
+        mu = np.exp(X @ fit.beta_hat)
+
+        def oracle(phi):
+            return float(np.sum(stats.gamma.logpdf(y, a=w / phi, scale=mu * phi / w)))
+
+        for at in (0.3, 0.5, 1.7):
+            ll = pg.log_likelihood("gamma", "log", fit.beta_hat, at, data)
+            assert ll == pytest.approx(oracle(at), rel=1e-12)
+        # maximize (p/2) log phi + l(phi) over log phi
+        res = optimize.minimize_scalar(lambda t: -(t + oracle(math.exp(t))),
+                                       bounds=(math.log(0.05), math.log(5.0)),
+                                       method="bounded", options={"xatol": 1e-12})
+        assert fit.scale.phi_mpl == pytest.approx(math.exp(res.x), rel=1e-7)
+        assert fit.scale.phi_mpl == pytest.approx(phi, rel=0.1)
+
     def test_saturated_model_raises(self):
         data = ModelData(y=np.array([1.0, 2.0]), X=np.eye(2))
         fit = fit_irls("gaussian", "identity", data)
         with pytest.raises(pg.DegreesOfFreedomError):
             pg.scale_estimates("gaussian", "identity", data, fit)
+
+
+class TestFamilySimulate:
+    # two groups of means with their own prior weights (binomial trial counts;
+    # poisson draws ignore weights, so its weights stay at 1)
+    @pytest.mark.parametrize("family,mu,phi,weights", [
+        ("gaussian", (-1.5, 3.0), 2.0, (4.0, 0.25)),
+        ("poisson", (0.7, 25.0), 1.0, (1.0, 1.0)),
+        ("binomial", (0.1, 0.55), 1.0, (5.0, 40.0)),
+        ("gamma", (0.8, 6.0), 0.5, (4.0, 0.25)),
+    ])
+    def test_moments_match_mean_and_variance_function(self, family, mu, phi, weights):
+        fam = FAMILIES[family]
+        m = 100_000
+        mu_all, w_all = np.repeat(mu, m), np.repeat(weights, m)
+        y = fam.simulate(np.random.default_rng(19), mu_all, phi, w_all)
+        for g, (mu_g, w_g) in enumerate(zip(mu, weights)):
+            yg = y[g * m:(g + 1) * m]
+            var = phi * float(fam.variance(np.array(mu_g))) / w_g
+            assert abs(yg.mean() - mu_g) < 5.0 * math.sqrt(var / m)
+            m4 = np.mean((yg - yg.mean()) ** 4)
+            s2 = yg.var(ddof=1)
+            assert abs(s2 - var) < 5.0 * math.sqrt((m4 - s2 ** 2) / m)
+
+    def test_event_counts_only_for_discrete_families(self):
+        y, w = np.array([0.25, 0.5]), np.array([4.0, 8.0])
+        assert FAMILIES["gaussian"].event_counts is None
+        assert FAMILIES["gamma"].event_counts is None
+        assert np.array_equal(FAMILIES["poisson"].event_counts(y, w), y)
+        assert np.array_equal(FAMILIES["binomial"].event_counts(y, w), [1.0, 4.0])
 
 
 class TestSaddlepoint:
@@ -373,7 +428,7 @@ def _reference_irls(family, link, data, tol=1e-8, max_iter=50):
     The solve skips scipy's finiteness check, so a non-finite working weight
     fails the step (and flags the boundary) here as in the core, where the
     checked solve raised ValueError."""
-    mu = _start_mu(family, data.y, data.weights)
+    mu = family.start_mu(data.y, data.weights)
     eta, beta, dev = link.g(mu), None, deviance(family, data, mu)
     converged = boundary = False
     for it in range(1, max_iter + 1):

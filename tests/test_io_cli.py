@@ -171,6 +171,15 @@ class TestCli:
         assert lines[0] == "x,pdf,cdf"
         assert len(lines) == 502
 
+    def test_rpd_pi_init_whose_half_underflows(self, tmp_path, capsys):
+        # 5e-324 / 2 rounds to 0; 1e-323 / 2 is still a subnormal
+        assert main(["rpd", "--pi-init", "5e-324"]) == 2
+        err = capsys.readouterr().err
+        assert "pi_init" in err and "std_normal_quantile" not in err
+        out = tmp_path / "r.json"
+        assert main(["rpd", "--pi-init", "1e-323", "--out", str(out)]) == 0
+        assert '"mean_log10": 323.43918692952639,' in out.read_text()
+
     def test_surface_quadraticity(self, tmp_path):
         out = tmp_path / "s.json"
         assert main(["surface", "--study", "CREDENCE", "--outcome", "primary",
@@ -274,4 +283,14 @@ class TestImportFloor:
         for path in sorted(pathlib.Path(pg.__file__).parent.glob("*.py")):
             hits = [n for n, line in enumerate(path.read_text().splitlines(), 1)
                     if re.search("integrate|optimize", line)]
+            assert hits == [], f"{path.name}: lines {hits}"
+
+
+class TestFamilyDispatch:
+    """Per-family behaviour lives on the FAMILIES entries; no module branches on a name."""
+
+    def test_no_source_module_tests_a_family_by_name(self):
+        for path in sorted(pathlib.Path(pg.__file__).parent.glob("*.py")):
+            hits = [n for n, line in enumerate(path.read_text().splitlines(), 1)
+                    if re.search(r"\bname\s*(==|!=|in\b|not in\b)|family\S*\s*(==|!=)", line)]
             assert hits == [], f"{path.name}: lines {hits}"

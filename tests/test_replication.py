@@ -345,6 +345,33 @@ class TestHarness:
         # over replicate seeds 10-19 the ratio spreads with sd near 0.05
         assert ratio == pytest.approx(1.0, abs=0.2)
 
+    @pytest.mark.parametrize("family,link,weights,draw", [
+        ("poisson", "identity", None, lambda gen, arm: gen.poisson(6.0 + 4.0 * arm)),
+        ("binomial", "log", np.full(16, 40.0),
+         lambda gen, arm: gen.binomial(40, 0.3 + 0.2 * arm) / 40.0),
+        ("gaussian", "log", None,
+         lambda gen, arm: np.exp(1.0 + 0.5 * arm) + 0.3 * gen.standard_normal(arm.size)),
+        ("gamma", "identity", None, lambda gen, arm: gen.gamma(16.0, (1.0 + arm) / 16.0)),
+    ])
+    def test_replicates_follow_the_fitted_link(self, family, link, weights, draw):
+        # replicates simulated through the fitted link are fitted back on
+        # target: the mean ML estimate sits on the mean generating beta. The
+        # event guard is off, so no replicate is dropped for a zero count.
+        n, arm = 16, np.repeat([1.0, 0.0], 8)
+        X = np.column_stack([np.ones(n), arm])
+        data = ModelData(y=draw(np.random.default_rng(4), arm).astype(float), X=X,
+                         weights=weights)
+        fit = fit_irls(family, link, data)
+        rep = run_replication(fit, family, link, data,
+                              ReplicationConfig(n_sim=1000, seed=pg.RngStream(13),
+                                                min_events_guard=0))
+        good = [r for r in rep.records if not r["failed"]]
+        est = np.array([r["ml_estimates"] for r in good])
+        beta_g = np.array([r["beta_g"] for r in good])
+        mcse = est.std(axis=0, ddof=1) / math.sqrt(len(good))
+        assert np.all(np.abs(est.mean(axis=0) - beta_g.mean(axis=0)) < 5.0 * mcse)
+        assert rep.summaries["fraction_failed"] == 0.0
+
     def test_unrelated_errors_propagate(self, credence_primary, monkeypatch):
         data, fit = credence_primary
 
