@@ -51,6 +51,15 @@ __all__ = [
 BOUNDARY_GUARD = 15.0
 
 
+def _poisson_loglik(y, mu, phi, weights):
+    # in place: the grid kernel calls this on (n, points) arrays
+    out = special.xlogy(y, mu)
+    out -= mu
+    out -= special.gammaln(y + 1.0)
+    out *= weights
+    return out
+
+
 def _binomial_loglik(y, mu, phi, m):
     k = y * m
     return (special.gammaln(m + 1.0) - special.gammaln(k + 1.0) - special.gammaln(m - k + 1.0)
@@ -144,7 +153,7 @@ FAMILIES = {
         unit_deviance=lambda y, mu: 2.0 * (special.xlogy(y, y / mu) - (y - mu)),
         in_domain=lambda mu: mu > 0,
         known_scale=True,
-        loglik=lambda y, mu, phi, w: special.xlogy(y, mu) - mu - special.gammaln(y + 1.0),
+        loglik=_poisson_loglik,
         start_mu=lambda y, w: np.where(y > 0, y, 0.5),
         phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
         simulate=lambda rng, mu, phi, w: rng.poisson(mu).astype(float),

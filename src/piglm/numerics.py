@@ -28,6 +28,7 @@ __all__ = [
     "gauss_legendre",
     "RngStream",
     "MixtureModel1D",
+    "MixtureStage",
     "fit_gaussian_mixture_1d",
     "mixture_tail_pi",
 ]
@@ -156,8 +157,22 @@ class RngStream:
 
 
 @dataclasses.dataclass(frozen=True)
+class MixtureStage:
+    """One G of the BIC scan: its best start's BIC, the EM iterations of each
+    start and how many starts stopped because they could not clear the BIC bar."""
+
+    g: int
+    bic: float
+    start_iters: tuple
+    n_barred: int
+
+
+@dataclasses.dataclass(frozen=True)
 class MixtureModel1D:
-    """Univariate Gaussian mixture: (weight, mean, sd) per component."""
+    """Univariate Gaussian mixture: (weight, mean, sd) per component.
+
+    ``stages`` holds one ``MixtureStage`` per G tried, G = 1 first.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -165,6 +180,7 @@ class MixtureModel1D:
     loglik: float
     bic: float
     n_iter: int
+    stages: tuple = ()
 
     @property
     def count(self) -> int:
@@ -186,7 +202,7 @@ class MixtureModel1D:
         return out if np.ndim(out) else float(out)
 
 
-def _em_batch(x, w, m, s, tol, max_iter, sd_floor):
+def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
     """EM on a batch of starting points simultaneously.
 
     ``w``, ``m``, ``s`` have shape (n_starts, g). The working arrays have
@@ -194,9 +210,14 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor):
     axis: the E step's log-sum-exp is a max-shift over the short component
     axis (underflow-safe for far-out samples), and the M-step sums run along
     the draws. Each start freezes once its own log likelihood stalls
-    (relative gain below ``tol``) or after ``max_iter`` iterations. Returns
-    (w, m, s, ll, iters, ll_path) with ll of shape (n_starts,); ll_path
-    tracks start 0 only.
+    (relative gain below ``tol``), after ``max_iter`` iterations, or, from
+    iteration 20 on, once it cannot reach ``bar`` (the log likelihood that
+    beats the best BIC so far): ll + gain * (iterations left) + 2 < bar, with
+    gain its latest step. While its gains do not grow, such a start ends
+    below the bar even at the cap, so it cannot change the fit chosen; the
+    20-iteration warm-up and the 2-nat margin cover the early steps, where
+    gains can still grow. Returns (w, m, s, ll, iters, barred, ll_path) with
+    ll of shape (n_starts,); ll_path tracks start 0 only.
     """
     n = x.size
     S = w.shape[0]
@@ -204,6 +225,7 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor):
     ll = np.full(S, -np.inf)
     iters = np.zeros(S, dtype=int)
     active = np.ones(S, dtype=bool)
+    barred = np.zeros(S, dtype=bool)
     ll_path = []
     half_log_2pi = 0.5 * math.log(2.0 * math.pi)
     for it in range(1, max_iter + 1):
@@ -229,7 +251,12 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor):
         w[idx] = nk / n
         m[idx] = mk
         s[idx] = np.maximum(np.sqrt(dev.sum(axis=2) / nk), sd_floor)
-        done = (ll_new - ll[idx] < tol * (np.abs(ll_new) + 1.0)) & (it > 1)
+        gain = ll_new - ll[idx]
+        done = (gain < tol * (np.abs(ll_new) + 1.0)) & (it > 1)
+        if it >= 20:
+            lost = ll_new + gain * (max_iter - it) + 2.0 < bar
+            barred[idx[lost & ~done]] = True
+            done |= lost
         ll[idx] = ll_new
         iters[idx] = it
         if active[0]:
@@ -237,7 +264,7 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor):
         active[idx[done]] = False
         if not active.any():
             break
-    return w, m, s, ll, iters, ll_path
+    return w, m, s, ll, iters, barred, ll_path
 
 
 def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
@@ -248,9 +275,11 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
     likelihood; ``n_iter`` 1, a one-entry ll path). Each G > 1 runs EM
     (``_em_batch``) from quantile-spaced means with pooled sd and equal
     weights, plus ``n_restarts`` random restarts; every start stops on its
-    own relative log-likelihood gain below ``tol`` or at ``max_iter``. The
-    component-sd floor is 1e-6 x sample sd to keep components from
-    collapsing on a point. The scan over G stops once BIC worsens.
+    own relative log-likelihood gain below ``tol``, at ``max_iter``, or once
+    it cannot beat the best BIC so far. The component-sd floor is 1e-6 x
+    sample sd to keep components from collapsing on a point. The scan over G
+    stops once BIC worsens. The model's ``stages`` record every G tried; the
+    BIC of a G that lost is where its starts stopped.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 50:
@@ -270,6 +299,7 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
     best = MixtureModel1D(np.ones(1), np.array([mean]), np.array([sd]), ll1,
                           -2.0 * ll1 + 2.0 * math.log(n), 1)
     best_path = [ll1]
+    stages = [MixtureStage(1, best.bic, (1,), 0)]
     for g in range(2, g_max + 1):
         means0 = [np.quantile(x, (np.arange(g) + 0.5) / g)]
         sds0 = [np.full(g, sd_all)]
@@ -278,11 +308,14 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
             means0.append(x[idx].astype(float))
             sds0.append(np.full(g, sd_all) * rng.uniform(0.3, 1.5))
         S = len(means0)
-        w, m, s, ll, iters, path = _em_batch(x, np.full((S, g), 1.0 / g), np.array(means0),
-                                             np.array(sds0), tol, max_iter, sd_floor)
         k_free = 3 * g - 1
+        bar = (k_free * math.log(n) - best.bic) / 2.0
+        w, m, s, ll, iters, barred, path = _em_batch(
+            x, np.full((S, g), 1.0 / g), np.array(means0), np.array(sds0),
+            tol, max_iter, sd_floor, bar=bar)
         i_best = int(np.argmax(ll))
         bic = -2.0 * float(ll[i_best]) + k_free * math.log(n)
+        stages.append(MixtureStage(g, bic, tuple(iters.tolist()), int(barred.sum())))
         if bic < best.bic:
             order = np.argsort(m[i_best])
             best = MixtureModel1D(w[i_best][order], m[i_best][order], s[i_best][order],
@@ -292,6 +325,7 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
             # BIC is unimodal in G here in practice; once it worsens, larger G
             # only adds redundant components, so stop scanning
             break
+    best = dataclasses.replace(best, stages=tuple(stages))
     if return_ll_path:
         return best, best_path
     return best

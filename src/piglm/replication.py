@@ -65,6 +65,7 @@ def predictive_pi(pi_init: float) -> float:
         raise DomainError("pi_init must be in (0, 1]")
     if pi_init == 1.0:
         return 1.0
+    _check_pi_init(pi_init)
     return 2.0 * float(std_normal_cdf(std_normal_quantile(pi_init / 2.0) / math.sqrt(3.0)))
 
 
@@ -293,6 +294,8 @@ def _simulate_replicate(r, family, link, data, beta_hat, cov_u, scale_marginal,
     record["beta_g"] = beta_g
     record["phi_g"] = phi_g
     mu = link.ginv(data.X @ beta_g + data.offset)
+    if not family.in_domain(mu).all():
+        return _fail(record, "mean outside family domain"), None
     try:
         y = family.simulate(rng, mu, phi_g, data.weights)
     except ValueError:
@@ -333,10 +336,11 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     Replicates are simulated one at a time, replicate r from stream id r + 1,
     so the result is deterministic given the config's seed. The ML analysis
     then fits every simulated replicate in one ``fit_irls_batch`` call.
-    Failed replicates are flagged with a reason ("simulation overflow", "too
-    few events", "fit error" when IRLS took no step, "boundary",
-    "non-convergence") and excluded from summaries; the excluded fraction is
-    reported.
+    Failed replicates are flagged with a reason ("mean outside family
+    domain" when the link maps the generating coefficients off the family's
+    means, "simulation overflow", "too few events", "fit error" when IRLS
+    took no step, "boundary", "non-convergence") and excluded from summaries;
+    the excluded fraction is reported.
     """
     family, link = _resolve(family, link)
     if initial.boundary or not initial.converged:

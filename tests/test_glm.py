@@ -85,6 +85,21 @@ class TestScoreAndLikelihood:
         s = score("poisson", "log", fit.beta_hat, 1.0, data)
         assert np.max(np.abs(s)) < 1e-8
 
+    def test_weighted_poisson_score_is_the_loglik_gradient(self):
+        # prior weights scale each log-likelihood term, as they scale the score
+        X = np.column_stack([np.ones(6), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
+        data = ModelData(y=np.array([3.0, 5.0, 4.0, 9.0, 7.0, 8.0]), X=X,
+                         weights=np.array([2.0, 1.0, 3.0, 0.5, 1.0, 0.25]))
+        beta = fit_irls("poisson", "log", data).beta_hat
+        s = score("poisson", "log", beta, 1.0, data)
+        h = 1e-6
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            fd = (pg.log_likelihood("poisson", "log", beta + e, 1.0, data)
+                  - pg.log_likelihood("poisson", "log", beta - e, 1.0, data)) / (2 * h)
+            assert fd == pytest.approx(s[j], abs=1e-6)
+
     def test_poisson_loglik_is_exact_pmf(self):
         from scipy import stats
 

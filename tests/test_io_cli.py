@@ -180,6 +180,14 @@ class TestCli:
         assert main(["rpd", "--pi-init", "1e-323", "--out", str(out)]) == 0
         assert '"mean_log10": 323.43918692952639,' in out.read_text()
 
+    def test_predict_pi_whose_half_underflows(self, tmp_path, capsys):
+        assert main(["predict-pi", "--pi", "5e-324"]) == 2
+        err = capsys.readouterr().err
+        assert "pi_init" in err and "std_normal_quantile" not in err
+        out = tmp_path / "p.json"
+        assert main(["predict-pi", "--pi", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pi_rep"] == 1.0
+
     def test_surface_quadraticity(self, tmp_path):
         out = tmp_path / "s.json"
         assert main(["surface", "--study", "CREDENCE", "--outcome", "primary",

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import piglm as pg
+from piglm import numerics
 from piglm.numerics import (
     erfc_inverse,
     exp_integral_gamma0,
@@ -236,3 +237,67 @@ class TestMixture:
             pg.fit_gaussian_mixture_1d(np.ones(500))
         with pytest.raises(pg.DegeneracyError):
             pg.fit_gaussian_mixture_1d(np.arange(10.0))
+
+
+def _ar1(phi, n, seed):
+    e = np.random.default_rng(seed).standard_normal(n)
+    x = np.empty(n)
+    x[0] = e[0]
+    for i in range(1, n):
+        x[i] = phi * x[i - 1] + e[i]
+    return x
+
+
+class TestMixtureBar:
+    """A start that cannot beat the best BIC so far stops early without
+    changing the model chosen: the fit is bit-identical to one where no
+    start is ever stopped by the bar."""
+
+    @staticmethod
+    def _chosen(model):
+        return (model.weights.tolist(), model.means.tolist(), model.sds.tolist(),
+                model.loglik, model.bic, model.n_iter)
+
+    def _fit_both(self, x, stream, monkeypatch):
+        barred = pg.fit_gaussian_mixture_1d(x, stream=stream)
+        em = numerics._em_batch
+        with monkeypatch.context() as mp:
+            mp.setattr(numerics, "_em_batch",
+                       lambda *args, bar: em(*args, bar=-math.inf))
+            free = pg.fit_gaussian_mixture_1d(x, stream=stream)
+        assert self._chosen(barred) == self._chosen(free)
+        assert [st.g for st in barred.stages] == [st.g for st in free.stages]
+        assert all(st.n_barred == 0 for st in free.stages)
+        return barred, free
+
+    def test_unimodal_and_bimodal_samples(self, rng, monkeypatch):
+        x = rng.normal(-0.3, 0.08, 5000)
+        barred, _ = self._fit_both(x, pg.RngStream(1, 1), monkeypatch)
+        assert barred.count == 1
+        x = np.concatenate([rng.normal(-2.0, 0.5, 3000), rng.normal(1.5, 0.3, 2000)])
+        barred, _ = self._fit_both(x, pg.RngStream(1, 2), monkeypatch)
+        assert barred.count == 2
+
+    def test_normal_draws(self, monkeypatch):
+        x = np.random.default_rng(7).normal(0.4, 0.2, 1000)
+        self._fit_both(x, pg.RngStream(7, 2), monkeypatch)
+
+    def test_autocorrelated_chain_prunes_the_losing_stage(self, monkeypatch):
+        # a 10k-draw AR(1) series with phi 0.9, like a Metropolis chain: G = 1
+        # wins, and the G = 2 restarts that stall below the bar stop early
+        x = _ar1(0.9, 10000, 1)
+        barred, free = self._fit_both(x, pg.RngStream(1, 999), monkeypatch)
+        assert barred.count == 1
+        g2, g2_free = barred.stages[1], free.stages[1]
+        assert g2.g == 2 and g2.n_barred > 0
+        assert sum(g2.start_iters) <= sum(g2_free.start_iters) / 3
+
+    def test_stages_report_each_g_tried(self):
+        x = np.random.default_rng(3).normal(0.0, 1.0, 2000)
+        model = pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(3), n_restarts=4)
+        first, second = model.stages[0], model.stages[1]
+        assert (first.g, first.bic, first.start_iters, first.n_barred) == (1, model.bic, (1,), 0)
+        assert second.g == 2 and len(second.start_iters) == 5
+        assert second.bic > model.bic
+        assert 0 <= second.n_barred <= 5
+        assert all(1 <= it <= 500 for it in second.start_iters)

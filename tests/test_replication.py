@@ -372,6 +372,26 @@ class TestHarness:
         assert np.all(np.abs(est.mean(axis=0) - beta_g.mean(axis=0)) < 5.0 * mcse)
         assert rep.summaries["fraction_failed"] == 0.0
 
+    def test_generating_mean_outside_the_domain_has_its_own_reason(self):
+        # gamma/identity, shape 4: replicate 168 draws beta_g = (1.039, -1.046),
+        # so the treated arm's generating mean is -0.007
+        n, arm = 16, np.repeat([1.0, 0.0], 8)
+        X = np.column_stack([np.ones(n), arm])
+        data = ModelData(y=np.random.default_rng(4).gamma(4.0, (1.0 + arm) / 4.0), X=X)
+        fit = fit_irls("gamma", "identity", data)
+        rep = run_replication(fit, "gamma", "identity", data,
+                              ReplicationConfig(n_sim=200, seed=pg.RngStream(13)))
+        failed = [r for r in rep.records if r["failed"]]
+        assert [r["replicate"] for r in failed] == [168]
+        assert failed[0]["failure_reason"] == "mean outside family domain"
+        assert failed[0]["beta_g"] == pytest.approx([1.0386, -1.0461], abs=1e-4)
+        # a mean inside the domain that the sampler cannot draw from is overflow
+        family, link = pg.glm.FAMILIES["poisson"], pg.glm.LINKS["log"]
+        record, y = replication._simulate_replicate(
+            0, family, link, data, np.array([70.0, 0.0]), np.zeros((2, 2)), None,
+            ReplicationConfig(n_sim=100, seed=pg.RngStream(1)), np.zeros((2, 2)))
+        assert y is None and record["failure_reason"] == "simulation overflow"
+
     def test_unrelated_errors_propagate(self, credence_primary, monkeypatch):
         data, fit = credence_primary
 
