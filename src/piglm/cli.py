@@ -42,6 +42,19 @@ MAX_N_SIM = 100_000
 MAX_N_ITER = 200_000
 
 
+class _FloatPair(click.ParamType):
+    """Exactly two comma-separated numbers, such as ``-50,50``."""
+
+    name = "lo,hi"
+
+    def convert(self, value, param, ctx):
+        try:
+            lo, hi = (float(v) for v in value.split(","))
+        except ValueError:
+            self.fail(f"{value!r} is not two comma-separated numbers", param, ctx)
+        return lo, hi
+
+
 def _load(data_path, study, outcome, exposure_scale):
     path = data_path or bundled_trials_path()
     records = parse_trial_csv(path)
@@ -202,7 +215,8 @@ def posterior(data_path, study, outcome, exposure_scale, seed, out_path,
 @click.option("--half-width", default=3.0, show_default=True)
 @click.option("--resolution", default=61, show_default=True,
               type=click.IntRange(max=MAX_RESOLUTION))
-@click.option("--anchor", default=None, help="b0,b1 center for boundary fits.")
+@click.option("--anchor", type=_FloatPair(), default=None,
+              help="b0,b1 center for boundary fits.")
 @click.option("--grid-out", type=click.Path(), default=None,
               help="Write the surface grid CSV here.")
 def surface(data_path, study, outcome, exposure_scale, seed, out_path,
@@ -210,12 +224,9 @@ def surface(data_path, study, outcome, exposure_scale, seed, out_path,
     """Log-likelihood surface and quadraticity diagnostic."""
     data, meta = _load(data_path, study, outcome, exposure_scale)
     res = fit_irls("poisson", "log", data)
-    anchor_vec = None
-    if anchor is not None:
-        anchor_vec = np.array([float(v) for v in anchor.split(",")])
     surf = likelihood_surface("poisson", "log", data, res,
                               half_widths=(half_width, half_width),
-                              resolution=resolution, anchor=anchor_vec)
+                              resolution=resolution, anchor=anchor)
     payload = {"meta": meta, "boundary": res.boundary, "anchored": surf.anchored}
     if not surf.anchored:
         payload["quadraticity"] = quadraticity_diagnostic(surf)
@@ -313,12 +324,13 @@ def replicate(data_path, study, outcome, exposure_scale, seed, out_path,
 @cli.command()
 @click.option("--kind", required=True)
 @click.option("--beta0", default=0.0, show_default=True)
-@click.option("--bounds", default=None, help="lo,hi center bounds (explore/flat kinds).")
+@click.option("--bounds", type=_FloatPair(), default=None,
+              help="lo,hi center bounds (explore/flat kinds).")
 @click.option("--sigma", default=None, type=float)
-@click.option("--sigma-bounds", default=None, help="lo,hi prior-sd bounds.")
+@click.option("--sigma-bounds", type=_FloatPair(), default=None, help="lo,hi prior-sd bounds.")
 @click.option("--nu0", default=None, type=float)
 @click.option("--scale-s", default=None, type=float)
-@click.option("--interval", default="-50,50", show_default=True,
+@click.option("--interval", type=_FloatPair(), default="-50,50", show_default=True,
               help="Interval for the local-uniformity check and density grid.")
 @click.option("--resolution", default=1001, show_default=True,
               type=click.IntRange(max=MAX_RESOLUTION))
@@ -328,18 +340,9 @@ def replicate(data_path, study, outcome, exposure_scale, seed, out_path,
 def priors(kind, beta0, bounds, sigma, sigma_bounds, nu0, scale_s, interval,
            resolution, seed, out_path, grid_out):
     """Prior density grid and local-uniformity diagnostic."""
-    def _pair(text):
-        lo, hi = (float(v) for v in text.split(","))
-        return (lo, hi)
-
-    spec = PriorSpec(
-        kind=kind, beta0=beta0,
-        bounds=_pair(bounds) if bounds else None,
-        sigma=sigma,
-        sigma_bounds=_pair(sigma_bounds) if sigma_bounds else None,
-        nu0=nu0, s=scale_s,
-    )
-    lo, hi = _pair(interval)
+    spec = PriorSpec(kind=kind, beta0=beta0, bounds=bounds, sigma=sigma,
+                     sigma_bounds=sigma_bounds, nu0=nu0, s=scale_s)
+    lo, hi = interval
     deviation = local_uniformity_check(spec, (lo, hi), resolution)
     payload = {"kind": kind, "interval": [lo, hi],
                "max_relative_deviation": deviation}

@@ -156,8 +156,8 @@ FAMILIES = {
         loglik=_poisson_loglik,
         start_mu=lambda y, w: np.where(y > 0, y, 0.5),
         phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
-        simulate=lambda rng, mu, phi, w: rng.poisson(mu).astype(float),
-        event_counts=lambda y, w: y,
+        simulate=lambda rng, mu, phi, w: rng.poisson(w * mu) / w,
+        event_counts=lambda y, w: y * w,
     ),
     "binomial": Family(
         name="binomial",

@@ -96,8 +96,9 @@ def pi_value_analytic(posterior: LaplacePosterior, index: int, beta0: float = 0.
 
 def pi_value_from_grid(grid: GridPosterior, index: int, beta0: float = 0.0) -> TailReport:
     """pi-value from a grid posterior's marginal of parameter ``index``."""
+    # each tail is summed on its own side; 1 - lower loses the upper tail's digits
     lower = grid.marginal_cdf_at(index, beta0)
-    pi = _two_sided(lower, 1.0 - lower)
+    pi = _two_sided(lower, grid.marginal_sf_at(index, beta0))
     mean, sd = grid.mean_sd(index)
     z = (mean - beta0) / sd if sd > 0 else 0.0
     return TailReport(

@@ -167,16 +167,16 @@ def vectorized_loglik(family, link, data: ModelData, phi: float = 1.0) -> Callab
 class GridPosterior:
     """Trapezoid-normalized posterior on a rectangular grid (p <= 3).
 
-    Each normalized marginal is computed once, on first use, and returned as
-    read-only arrays; parameter indices may count from the end, as in Python.
+    ``marginals`` holds each parameter's normalized marginal as a read-only
+    (grid, density) pair, built once by ``grid_posterior``; parameter indices
+    may count from the end, as in Python.
     """
 
     axes: Tuple[np.ndarray, ...]
     log_density: np.ndarray        # unnormalized
     log_normalizer: float
     proper: bool
-    _marginals: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
-                                         compare=False)
+    marginals: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def p(self) -> int:
@@ -191,31 +191,18 @@ class GridPosterior:
         """(grid, density) of the normalized marginal of parameter ``index``."""
         if not -self.p <= index < self.p:
             raise DomainError(f"parameter index {index} out of range for p = {self.p}")
-        index %= self.p
-        if index not in self._marginals:
-            dens = self.density()
-            for ax in reversed([i for i in range(self.p) if i != index]):
-                dens = np.trapezoid(dens, self.axes[ax], axis=ax)
-            dens = dens / np.trapezoid(dens, self.axes[index])
-            grid = self.axes[index].view()
-            grid.flags.writeable = dens.flags.writeable = False
-            self._marginals[index] = (grid, dens)
-        return self._marginals[index]
+        if not self.proper:
+            raise SupportError("improper posterior: normalization withheld")
+        return self.marginals[index]
 
     def marginal_cdf_at(self, index: int, x0: float) -> float:
         grid, dens = self.marginal(index)
-        mask = grid <= x0
-        if not np.any(mask):
-            return 0.0
-        lower = float(np.trapezoid(dens[mask], grid[mask]))
-        if mask.sum() < len(grid) and x0 > grid[mask][-1]:
-            # partial cell up to x0
-            g0, g1 = grid[mask][-1], grid[~mask][0]
-            d0, d1 = dens[mask][-1], dens[~mask][0]
-            f = (x0 - g0) / (g1 - g0)
-            d_at = d0 + f * (d1 - d0)
-            lower += 0.5 * (d0 + d_at) * (x0 - g0)
-        return min(max(lower, 0.0), 1.0)
+        return _mass_below(grid, dens, x0)
+
+    def marginal_sf_at(self, index: int, x0: float) -> float:
+        """Marginal mass above ``x0``, summed on the reversed axis like the lower tail."""
+        grid, dens = self.marginal(index)
+        return _mass_below(-grid[::-1], dens[::-1], -x0)
 
     def mean_sd(self, index: int) -> Tuple[float, float]:
         grid, dens = self.marginal(index)
@@ -248,6 +235,22 @@ class GridPosterior:
         return out
 
 
+def _mass_below(grid: np.ndarray, dens: np.ndarray, x0: float) -> float:
+    """Trapezoid mass of a gridded density up to ``x0``, with the partial cell."""
+    k = int(np.searchsorted(grid, x0, side="right"))   # grid[:k] <= x0
+    lower = float(np.trapezoid(dens[:k], grid[:k]))
+    if 0 < k < len(grid) and x0 > grid[k - 1]:
+        g0, g1, d0, d1 = grid[k - 1], grid[k], dens[k - 1], dens[k]
+        d_at = d0 + (x0 - g0) / (g1 - g0) * (d1 - d0)
+        lower += 0.5 * (d0 + d_at) * (x0 - g0)
+    return min(max(lower, 0.0), 1.0)
+
+
+def _flat_tail(drop: float, slope: float) -> bool:
+    """Tail-flatness rule of both tests: above 1e-10 x peak, slope under 0.05 per unit."""
+    return drop > math.log(1e-10) and slope < 0.05
+
+
 def _grid_tail_improper(axis: np.ndarray, log_marg: np.ndarray) -> bool:
     """Tail-decay test on a gridded marginal: flat, non-negligible tails."""
     peak = np.max(log_marg)
@@ -255,9 +258,7 @@ def _grid_tail_improper(axis: np.ndarray, log_marg: np.ndarray) -> bool:
     for end, prev in ((0, 1), (-1, -2)):
         if not (np.isfinite(log_marg[end]) and np.isfinite(log_marg[prev])):
             continue               # underflowed tail decays plenty fast
-        val_ok = log_marg[end] - peak > math.log(1e-10)
-        slope = abs(log_marg[end] - log_marg[prev]) / h
-        if val_ok and slope < 0.05:
+        if _flat_tail(log_marg[end] - peak, abs(log_marg[end] - log_marg[prev]) / h):
             return True
     return False
 
@@ -267,9 +268,11 @@ def grid_posterior(loglik: Callable, priors: Sequence[Optional[PriorSpec]],
     """Exact posterior on a rectangular grid under per-parameter priors.
 
     ``loglik`` takes an (m, p) array of coefficient vectors; a ``None`` prior
-    entry means flat (constant) over the grid for that parameter. The result
-    is marked improper (and left unnormalized) when the marginal of any flat
-    axis fails the tail-decay test.
+    entry means flat (constant) over the grid for that parameter. The grid is
+    exponentiated once and reduced once per axis to that axis's marginal; the
+    normalizer is the integral of axis 0's marginal. The result is marked
+    improper (and left unnormalized) when the marginal of any flat axis fails
+    the tail-decay test.
     """
     p = len(bounds)
     if p > 3 or p < 1:
@@ -279,35 +282,30 @@ def grid_posterior(loglik: Callable, priors: Sequence[Optional[PriorSpec]],
     axes = tuple(np.linspace(lo, hi, resolution) for lo, hi in bounds)
     logpost = np.asarray(loglik(_grid_nodes(axes)), dtype=float).reshape((resolution,) * p)
     for i, spec in enumerate(priors):
-        if spec is None:
-            continue
-        lp = np.asarray(prior_logpdf(spec, axes[i]), dtype=float)
-        shape = [1] * p
-        shape[i] = resolution
-        logpost = logpost + lp.reshape(shape)
+        if spec is not None:
+            lp = np.asarray(prior_logpdf(spec, axes[i]), dtype=float)
+            logpost = logpost + lp.reshape([resolution if j == i else 1 for j in range(p)])
     if not np.any(np.isfinite(logpost)):
         raise SupportError("posterior is -inf everywhere on the grid")
     peak = np.max(logpost)
-    dens = np.exp(logpost - peak)
-    # impropriety: check each axis marginal of the unnormalized density. Every
-    # PriorSpec is proper, so only flat (None) axes can carry a flat tail; a
-    # heavy proper tail such as t_2 would fail the slope test at a wide edge.
-    improper = False
-    for i in range(p):
-        if priors[i] is not None:
-            continue
+    dens = logpost - peak
+    np.exp(dens, out=dens)         # in place: one full-grid array fewer to allocate
+    # Every PriorSpec is proper, so only a flat (None) axis can carry a flat
+    # tail; a heavy proper tail such as t_2 would fail the slope test at a wide edge.
+    improper, masses, marginals = False, [], []
+    for i, ax in enumerate(axes):
         marg = dens
-        for ax in reversed([j for j in range(p) if j != i]):
-            marg = np.trapezoid(marg, axes[ax], axis=ax)
-        with np.errstate(divide="ignore"):
-            log_marg = np.log(marg)
-        if _grid_tail_improper(axes[i], log_marg):
-            improper = True
-    norm = dens
-    for i in reversed(range(p)):
-        norm = np.trapezoid(norm, axes[i], axis=i)
-    log_normalizer = peak + math.log(float(norm))
-    return GridPosterior(axes, logpost, log_normalizer, not improper)
+        for j in reversed([j for j in range(p) if j != i]):
+            marg = np.trapezoid(marg, axes[j], axis=j)
+        if priors[i] is None:
+            with np.errstate(divide="ignore"):
+                improper = improper or _grid_tail_improper(ax, np.log(marg))
+        masses.append(float(np.trapezoid(marg, ax)))
+        grid, marg = ax.view(), marg / masses[-1]
+        grid.flags.writeable = marg.flags.writeable = False
+        marginals.append((grid, marg))
+    return GridPosterior(axes, logpost, peak + math.log(masses[0]), not improper,
+                         tuple(marginals))
 
 
 def detect_impropriety(marginal_loglik: Callable, direction: str = "both"):
@@ -315,30 +313,25 @@ def detect_impropriety(marginal_loglik: Callable, direction: str = "both"):
 
     A tail is divergent-looking when its value at |beta| = 30 is above
     1e-10 x peak *and* the local log-density slope there is below 0.05 per
-    unit. Heavy-but-integrable tails (e.g. Cauchy) pass via the slope test.
+    unit (``_flat_tail``), measured between |beta| = 29 and 30. Heavy but
+    integrable tails (e.g. Cauchy) pass via the slope test.
     """
-    if direction not in ("left", "right", "both"):
+    sides = {"left": (-1.0,), "right": (1.0,), "both": (-1.0, 1.0)}.get(direction)
+    if sides is None:
         raise DomainError("direction must be left/right/both")
     grid = np.linspace(-40.0, 40.0, 3201)
     vals = np.array([float(marginal_loglik(float(b))) for b in grid])
     peak = float(np.max(vals))
-    sides = []
-    if direction in ("left", "both"):
-        sides.append(-1.0)
-    if direction in ("right", "both"):
-        sides.append(1.0)
     evidence = []
     improper = False
     for sgn in sides:
         f30 = float(marginal_loglik(sgn * 30.0))
         f29 = float(marginal_loglik(sgn * 29.0))
-        tall = f30 - peak > math.log(1e-10)
-        flat = abs(f30 - f29) < 0.05
         side = "left" if sgn < 0 else "right"
         evidence.append(
             f"{side} tail: log-density {f30 - peak:.3f} below peak, slope {abs(f30 - f29):.4f}/unit"
         )
-        if tall and flat:
+        if _flat_tail(f30 - peak, abs(f30 - f29)):
             improper = True
     return {"improper": improper, "evidence": "; ".join(evidence)}
 

@@ -146,9 +146,8 @@ def finite_world_bounds(link, y_range: Tuple[float, float],
         raise DomainError("y_range outside the link's domain")
     intervals = []
     for x_lo, x_hi in x_ranges:
-        if x_lo <= 0 <= x_hi and not (x_lo == x_hi == 1):
-            if x_lo == 0 or x_hi == 0 or (x_lo < 0 < x_hi):
-                raise DomainError("covariate range used as a divisor must exclude 0")
+        if x_lo <= 0 <= x_hi:
+            raise DomainError("covariate range used as a divisor must exclude 0")
         cand = [e / x for e in (eta_lo, eta_hi) for x in (x_lo, x_hi)]
         intervals.append((min(cand), max(cand)))
     volume = math.prod(hi - lo for lo, hi in intervals)

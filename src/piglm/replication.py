@@ -15,6 +15,7 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import special
 
 from .errors import BoundaryError, DomainError, HarnessError
 from .glm import FitResult, ModelData, _resolve, fit_irls_batch
@@ -22,6 +23,7 @@ from .inference import pi_value_from_grid
 from .numerics import (RngStream, gauss_legendre, std_normal_cdf, std_normal_logcdf,
                        std_normal_quantile)
 from .posterior import LaplacePosterior, ScaleMarginal, grid_posterior, vectorized_loglik
+from .priors import PriorSpec
 
 __all__ = [
     "TranslationKernel",
@@ -81,9 +83,11 @@ def _z_init(pi_init: float) -> float:
 
 
 def _c_of_x(x):
-    """Phi^{-1}(10^{-x}/2), the (negative) z whose two-sided tail is 10^{-x}."""
-    x = np.asarray(x, dtype=float)
-    return np.asarray(std_normal_quantile(0.5 * np.power(10.0, -x)))
+    """Phi^{-1}(10^{-x}/2), the (negative) z whose two-sided tail is 10^{-x}.
+
+    Taken from log(10^{-x}/2), so it stays exact past the underflow of 10^{-x}.
+    """
+    return np.asarray(special.ndtri_exp(-np.asarray(x, dtype=float) * LN10 - LN2))
 
 
 def rpd_pdf(log10p, pi_init: float):
@@ -253,6 +257,9 @@ class ReplicationConfig:
             raise DomainError("n_workers must be 1")
         if not self.analyses:
             raise DomainError("at least one analysis required")
+        for tag in self.analyses:
+            if tag != "ml":
+                _bayes_priors(tag, 1)       # raises on an unknown tag or a bad prior
 
 
 @dataclasses.dataclass(frozen=True)
@@ -263,14 +270,12 @@ class ReplicationReport:
 
 
 def _bayes_priors(tag, p):
+    """Per-parameter priors of a Bayes analysis tag; DomainError for any other tag."""
     if tag == "bayes_flat":
         return [None] * p
-    if isinstance(tag, tuple) and tag and tag[0] == "bayes_student_t":
-        from .priors import PriorSpec
-
-        _, df, scale = tag
+    if isinstance(tag, tuple) and len(tag) == 3 and tag[0] == "bayes_student_t":
         specs = [None] * p
-        specs[-1] = PriorSpec("test_invchisq", beta0=0.0, nu0=df, s=scale)
+        specs[-1] = PriorSpec("test_invchisq", beta0=0.0, nu0=tag[1], s=tag[2])
         return specs
     raise DomainError(f"unknown analysis {tag!r}")
 
@@ -387,10 +392,8 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
                                                            weights=rep_data.weights))
             gp = grid_posterior(ll, priors, bounds, resolution=config.bayes_resolution)
             key = tag if isinstance(tag, str) else tag[0]
-            if not gp.proper:
-                record[f"{key}_pi"] = None
-                continue
-            record[f"{key}_pi"] = pi_value_from_grid(gp, config.target_index).p_or_pi
+            record[f"{key}_pi"] = (pi_value_from_grid(gp, config.target_index).p_or_pi
+                                   if gp.proper else None)
     good = [rec for rec in records if not rec["failed"]]
     if not good:
         raise HarnessError("every replicate failed")

@@ -1,0 +1,73 @@
+"""Byte-for-byte CLI JSON for fixed seeds.
+
+Each case runs ``cli.main`` with ``--out`` and compares the file with
+``tests/golden/<name>.json`` and the exit code with ``exit_codes.json``. A
+case that writes no file has no golden JSON. To rewrite the golden files
+after an intended change, run ``PYTHONPATH=src python tests/test_cli_golden.py``
+and name every moved file in CHANGES.md.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from piglm import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+OUTCOMES = [("CREDENCE", "primary"), ("CREDENCE", "dka"),
+            ("DAPA-CKD", "primary"), ("DAPA-CKD", "dka")]
+STUDY_CASES = {
+    "fit": ["fit"],
+    "posterior_laplace": ["posterior", "--method", "laplace"],
+    "posterior_grid_flat": ["posterior", "--method", "grid"],
+    "posterior_grid_student_t": ["posterior", "--method", "grid", "--prior", "student_t"],
+    "surface": ["surface"],
+    "replicate": ["replicate", "--n-sim", "1000"],
+}
+CASES = {
+    f"{name}_{study}_{outcome}".lower().replace("-", ""):
+        args + ["--study", study, "--outcome", outcome]
+    for study, outcome in OUTCOMES for name, args in STUDY_CASES.items()
+}
+CASES.update({
+    "surface_anchor_dapackd_dka": ["surface", "--study", "DAPA-CKD", "--outcome", "dka",
+                                   "--anchor", "-3.2,-1.5", "--allow-boundary"],
+    "rpd_1e-4": ["rpd", "--pi-init", "1e-4"],
+    "rpd_1e-100": ["rpd", "--pi-init", "1e-100"],
+    "predict_pi": ["predict-pi", "--pi", "0.05"],
+    "decide": ["decide", "--epsilon", "0.1", "--epsilon-loss", "0.05", "--cost", "0.02",
+               "--pi", "0.01"],
+    "priors_test_fixed_sigma": ["priors", "--kind", "test_fixed_sigma", "--sigma", "10"],
+    "priors_explore_uniform_sigma": ["priors", "--kind", "explore_uniform_sigma",
+                                     "--bounds", "-5,5", "--sigma-bounds", "1,20",
+                                     "--interval", "-2,2"],
+})
+
+
+def _run(name, out_dir):
+    path = pathlib.Path(out_dir) / f"{name}.json"
+    code = cli.main(CASES[name] + ["--out", str(path)])
+    return code, (path.read_bytes() if path.exists() else None)
+
+
+@pytest.fixture(scope="module")
+def exit_codes():
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_json_is_byte_identical(name, exit_codes, tmp_path):
+    code, text = _run(name, tmp_path)
+    assert code == exit_codes[name]
+    golden = GOLDEN / f"{name}.json"
+    assert text == (golden.read_bytes() if golden.exists() else None)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name in sorted(CASES):
+        (GOLDEN / f"{name}.json").unlink(missing_ok=True)
+        codes[name], _ = _run(name, GOLDEN)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")

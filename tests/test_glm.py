@@ -250,11 +250,11 @@ class TestScaleEstimates:
 
 
 class TestFamilySimulate:
-    # two groups of means with their own prior weights (binomial trial counts;
-    # poisson draws ignore weights, so its weights stay at 1)
+    # two groups of means with their own prior weights (binomial trial counts,
+    # poisson exposures)
     @pytest.mark.parametrize("family,mu,phi,weights", [
         ("gaussian", (-1.5, 3.0), 2.0, (4.0, 0.25)),
-        ("poisson", (0.7, 25.0), 1.0, (1.0, 1.0)),
+        ("poisson", (0.7, 25.0), 1.0, (4.0, 0.25)),
         ("binomial", (0.1, 0.55), 1.0, (5.0, 40.0)),
         ("gamma", (0.8, 6.0), 0.5, (4.0, 0.25)),
     ])
@@ -275,7 +275,7 @@ class TestFamilySimulate:
         y, w = np.array([0.25, 0.5]), np.array([4.0, 8.0])
         assert FAMILIES["gaussian"].event_counts is None
         assert FAMILIES["gamma"].event_counts is None
-        assert np.array_equal(FAMILIES["poisson"].event_counts(y, w), y)
+        assert np.array_equal(FAMILIES["poisson"].event_counts(y, w), [1.0, 4.0])
         assert np.array_equal(FAMILIES["binomial"].event_counts(y, w), [1.0, 4.0])
 
 

@@ -92,6 +92,25 @@ class TestPiValue:
         exact = 2.0 * min(special.betainc(y1, y0, x), special.betainc(y0, y1, 1.0 - x))
         assert pi_value_from_grid(gp, 1).p_or_pi == pytest.approx(exact, rel=0.01)
 
+    def test_grid_pi_is_mirror_symmetric_in_the_far_tail(self):
+        # gaussian mean, phi = 1, five points: the posterior is N(ybar, 1/5), so
+        # y and -y give mirrored grids at +-10 se and must give one pi. The
+        # upper tail is integrated directly; 1 - lower would keep no digits.
+        y = np.array([3.1, 3.9, 3.0, 3.6, 3.9])
+        pis = []
+        for sgn in (1.0, -1.0):
+            data = pg.ModelData(y=sgn * y, X=np.ones((5, 1)))
+            b, se = sgn * y.mean(), 1.0 / math.sqrt(5.0)
+            gp = pg.grid_posterior(pg.vectorized_loglik("gaussian", "identity", data), [None],
+                                   [(b - 10 * se, b + 10 * se)], resolution=2001)
+            pis.append(pi_value_from_grid(gp, 0).p_or_pi)
+            if sgn > 0:
+                assert pis[0] == 2.0 * gp.marginal_cdf_at(0, 0.0)
+        exact = 2.0 * stats.norm.cdf(-y.mean() * math.sqrt(5.0))
+        assert pis[0] == pytest.approx(5.029451900743252e-15, rel=1e-12, abs=0.0)
+        assert pis[0] == pytest.approx(exact, rel=1e-3, abs=0.0)
+        assert pis[1] == pytest.approx(pis[0], rel=1e-12, abs=0.0)
+
     def test_empirical_floor(self, rng):
         x = rng.normal(10.0, 1.0, 500)      # no draws below zero
         rep = pi_value_from_samples(x)

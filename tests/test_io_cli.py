@@ -180,6 +180,26 @@ class TestCli:
         assert main(["rpd", "--pi-init", "1e-323", "--out", str(out)]) == 0
         assert '"mean_log10": 323.43918692952639,' in out.read_text()
 
+    def test_rpd_curve_past_the_underflow_of_ten_to_minus_x(self, tmp_path):
+        # the tabulation reaches x = 400, where 10^-x is 0 in double precision
+        out = tmp_path / "r.json"
+        assert main(["rpd", "--pi-init", "1e-300", "--cap", "400", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["total_mass"] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("args,option", [
+        (["priors", "--kind", "test_fixed_sigma", "--sigma", "1", "--interval", "foo"],
+         "--interval"),
+        (["priors", "--kind", "explore_fixed_sigma", "--sigma", "1", "--bounds", "1"],
+         "--bounds"),
+        (["priors", "--kind", "test_uniform_sigma", "--sigma-bounds", "1,2,3"],
+         "--sigma-bounds"),
+        (["surface", "--study", "CREDENCE", "--outcome", "primary", "--anchor", "1,x"],
+         "--anchor"),
+    ])
+    def test_bad_number_pair_is_a_usage_error_naming_the_option(self, args, option, capsys):
+        assert main(args) == 64
+        assert option in capsys.readouterr().err
+
     def test_predict_pi_whose_half_underflows(self, tmp_path, capsys):
         assert main(["predict-pi", "--pi", "5e-324"]) == 2
         err = capsys.readouterr().err

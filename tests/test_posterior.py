@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,9 @@ class TestGridPosterior:
         assert not gp.proper
         with pytest.raises(pg.SupportError):
             gp.density()
+        for index in (0, -1):
+            with pytest.raises(pg.SupportError):
+                gp.marginal(index)
 
     def test_marginals_cached_read_only_and_indexed_from_the_end(self, credence_primary):
         data, fit = credence_primary
@@ -269,15 +273,34 @@ class TestGridPosterior:
         assert gp.mean_sd(1) == gp.mean_sd(-1)
         assert pg.pi_value_from_grid(gp, 1) == first == pg.pi_value_from_grid(gp, -1)
         assert gp.marginal_cdf_at(-1, 0.0) == gp.marginal_cdf_at(1, 0.0)
-        # mean_sd first, then pi, equals pi on a fresh object
-        fresh = pg.GridPosterior(gp.axes, gp.log_density, gp.log_normalizer, gp.proper)
-        fresh.mean_sd(1)
-        assert pg.pi_value_from_grid(fresh, 1) == first
         for bad in (2, -3):
             with pytest.raises(pg.DomainError):
                 gp.marginal(bad)
             with pytest.raises(pg.DomainError):
                 pg.pi_value_from_grid(gp, bad)
+
+    def test_marginal_summaries_need_no_joint_grid(self, credence_primary):
+        # the marginals are built once with the grid; pi, mean_sd and
+        # edge_mass read them and never touch the joint density again
+        data, fit = credence_primary
+        se = fit.se(1.0)
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, se)]
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        gp = grid_posterior(ll, [None, None], bounds, resolution=201)
+        assert isinstance(gp.marginals, tuple) and len(gp.marginals) == 2
+        assert {f.name for f in dataclasses.fields(gp)} == {
+            "axes", "log_density", "log_normalizer", "proper", "marginals"}
+        bare = dataclasses.replace(gp, log_density=None)
+        for index in (0, 1):
+            assert pg.pi_value_from_grid(bare, index) == pg.pi_value_from_grid(gp, index)
+            assert bare.mean_sd(index) == gp.mean_sd(index)
+            assert bare.edge_mass(index) == gp.edge_mass(index)
+        # each marginal is the joint density integrated over the other axis
+        dens = gp.density()
+        for index, other in ((0, 1), (1, 0)):
+            grid, marg = gp.marginal(index)
+            ref = np.trapezoid(dens, gp.axes[other], axis=other)
+            np.testing.assert_allclose(marg, ref, rtol=1e-12, atol=1e-300)
 
     def test_edge_mass_shrinks_with_wider_bounds(self, credence_primary):
         data, fit = credence_primary
@@ -317,6 +340,18 @@ class TestImproprietyDetector:
     def test_direction_validation(self):
         with pytest.raises(pg.DomainError):
             pg.detect_impropriety(lambda b: -b * b, direction="up")
+
+    @pytest.mark.parametrize("logdens,improper", [
+        (lambda b: -0.04 * abs(b), True),       # flat enough, tall enough
+        (lambda b: -0.06 * abs(b), False),      # slope above 0.05 per unit
+        (lambda b: -22.0 * (1.0 - math.exp(-abs(b) / 5.0)), True),
+        (lambda b: -24.0 * (1.0 - math.exp(-abs(b) / 5.0)), False),  # below 1e-10 of peak
+    ])
+    def test_grid_and_function_share_one_tail_rule(self, logdens, improper):
+        assert pg.detect_impropriety(logdens)["improper"] is improper
+        axis = np.linspace(-30.0, 30.0, 601)
+        log_marg = np.array([logdens(b) for b in axis])
+        assert pg.posterior._grid_tail_improper(axis, log_marg) is improper
 
 
 class TestMetropolis:

@@ -25,6 +25,16 @@ class TestFiniteWorldBounds:
         with pytest.raises(pg.DomainError):
             pg.finite_world_bounds("log", (0.1, 10.0), [(-1.0, 1.0)], 1)
 
+    @pytest.mark.parametrize("x_range", [(0.0, 2.0), (-2.0, 0.0), (0.0, 0.0)])
+    def test_covariate_range_touching_zero_rejected(self, x_range):
+        with pytest.raises(pg.DomainError):
+            pg.finite_world_bounds("log", (0.1, 10.0), [x_range], 1)
+
+    def test_negative_covariate_range_divides(self):
+        fw = pg.finite_world_bounds("log", (0.1, 10.0), [(-2.0, -1.0)], 1)
+        hi = math.log(10.0)
+        assert fw.intervals[0] == pytest.approx((-hi, hi))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_y_range_outside_link_domain(self):
         with pytest.raises(pg.DomainError):

@@ -57,6 +57,17 @@ class TestReplicatePValueDensity:
                 fd = (rpd_cdf(x + h, pi0) - rpd_cdf(x - h, pi0)) / (2 * h)
                 assert rpd_pdf(x, pi0) == pytest.approx(fd, rel=1e-5, abs=1e-12)
 
+    def test_c_of_x_stays_exact_past_the_underflow(self):
+        # c(x) = Phi^{-1}(10^-x / 2) comes from log(10^-x / 2), so it holds on
+        # beyond x = 308, where 10^-x underflows, and keeps the old value below
+        x = np.linspace(0.0, 400.0, 801)
+        c = replication._c_of_x(x)
+        np.testing.assert_allclose(special.log_ndtr(c), -x * math.log(10.0) - math.log(2.0),
+                                   rtol=1e-13)
+        near = x <= 300.0
+        np.testing.assert_allclose(c[near], special.ndtri(0.5 * 10.0 ** -x[near]),
+                                   rtol=1e-15, atol=1e-15)
+
     def test_mass_one_by_quadrature(self):
         val, _ = integrate.quad(lambda x: rpd_pdf(x, 1e-3), 0, 60, limit=400)
         assert val == pytest.approx(1.0, abs=1e-9)
@@ -225,6 +236,21 @@ class TestHarness:
         ratio = rep.summaries["ml_var"][1] / (2.0 * fit.cov_unscaled[1, 1])
         assert ratio == pytest.approx(1.0, abs=0.12)
 
+    def test_weighted_poisson_replicates_have_twice_the_model_variance(self):
+        # prior weights are exposures: a replicate count is Poisson(w mu) and
+        # its rate y = count / w, so the replicate ML estimate varies as 2 se^2
+        X = np.column_stack([np.ones(6), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
+        data = ModelData(y=np.array([3.0, 5.0, 4.0, 9.0, 7.0, 8.0]), X=X,
+                         weights=np.full(6, 4.0))
+        fit = fit_irls("poisson", "log", data)
+        rep = run_replication(fit, "poisson", "log", data,
+                              ReplicationConfig(n_sim=2000, seed=pg.RngStream(5)))
+        est = np.array([r["ml_estimates"][1] for r in rep.records if not r["failed"]])
+        var = est.var(ddof=1)
+        m4 = np.mean((est - est.mean()) ** 4)
+        target = 2.0 * fit.cov_unscaled[1, 1]
+        assert abs(var - target) < 5.0 * math.sqrt((m4 - var ** 2) / len(est))
+
     def test_event_guard_excludes_and_reports(self):
         # tiny rates: many replicates produce zero counts and must be excluded
         data = ModelData(y=np.array([2.0, 2.0]), X=np.array([[1.0, 1.0], [1.0, 0.0]]))
@@ -300,6 +326,23 @@ class TestHarness:
             ReplicationConfig(n_sim=100, seed=pg.RngStream(1), analyses=())
         with pytest.raises(pg.DomainError):
             ReplicationConfig(n_sim=100, seed=pg.RngStream(1), n_workers=2)
+
+    @pytest.mark.parametrize("analyses", [
+        ("mle",),
+        ("ml", "bayes_t"),
+        (("bayes_student_t", 2.5),),
+        (("bayes_student_t", 0.0, 1.0),),
+        ("ml", ("bayes_student_t", 2.5, -1.0)),
+    ])
+    def test_unknown_analysis_rejected_by_the_config(self, analyses):
+        # at construction, before any replicate is simulated
+        with pytest.raises(pg.DomainError):
+            ReplicationConfig(n_sim=100, seed=pg.RngStream(1), analyses=analyses)
+
+    def test_known_analyses_accepted(self):
+        cfg = ReplicationConfig(n_sim=100, seed=pg.RngStream(1),
+                                analyses=("ml", "bayes_flat", ("bayes_student_t", 2.5, 1.0)))
+        assert len(cfg.analyses) == 3
 
     @pytest.mark.parametrize("analyses", [("ml",), ("bayes_flat",)])
     def test_target_index_checked_before_simulation(self, credence_primary, monkeypatch,
