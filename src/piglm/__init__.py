@@ -90,7 +90,6 @@ from .io import (
     TrialRecord,
     bundled_trials_path,
     emit_plot_csv,
-    emit_result_json,
     parse_trial_csv,
     to_json_text,
     trial_model_data,

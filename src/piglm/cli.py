@@ -23,7 +23,8 @@ from .errors import BoundaryError, ConvergenceError, DomainError, MixingError, \
 from .glm import fit_irls, likelihood_surface, quadraticity_diagnostic
 from .inference import pi_value_analytic, pi_value_from_grid, pi_value_from_samples, \
     wald_pvalue
-from .io import bundled_trials_path, emit_plot_csv, parse_trial_csv, trial_model_data
+from .io import bundled_trials_path, emit_plot_csv, parse_trial_csv, to_json_text, \
+    trial_model_data
 from .numerics import RngStream
 from .posterior import grid_posterior, laplace_posterior, rw_metropolis, vectorized_loglik
 from .priors import PriorSpec, local_uniformity_check, prior_pdf
@@ -34,10 +35,14 @@ EXIT_DOMAIN = 2
 EXIT_FLAGGED = 3
 EXIT_USAGE = 64
 
-# Upper limits on the sizes a command allocates, checked while the options are
+# Limits on the sizes a command allocates, checked while the options are
 # parsed, before any data is loaded. A 2001^2 posterior grid holds 4e6 points,
 # a replicate batch holds (n_sim, n, p) arrays, and a chain stores every step.
+# Lower limits: a grid axis needs two nodes for its trapezoid and its tail
+# slope, and the replication harness needs 100 replicates.
+MIN_RESOLUTION = 2
 MAX_RESOLUTION = 2001
+MIN_N_SIM = 100
 MAX_N_SIM = 100_000
 MAX_N_ITER = 200_000
 
@@ -71,24 +76,18 @@ def _fit_payload(fit, meta, allow_boundary):
         "iterations": fit.iterations,
         "meta": meta,
     }
-    if not fit.boundary:
-        se = fit.se(1.0)
-        reports = [wald_pvalue(fit, 1.0, j) for j in range(fit.p)]
+    if fit.boundary and not allow_boundary:
+        return payload
+    se = fit.se(1.0)
+    reports = [wald_pvalue(fit, 1.0, j) for j in range(fit.p)]
+    payload.update({"se": se, "z": [r.z for r in reports], "p": [r.p_or_pi for r in reports]})
+    if fit.boundary:
+        payload["boundary_warning"] = "estimates diverging; values unreliable"
+    else:
         rr = math.exp(fit.beta_hat[1])
         lo = math.exp(fit.beta_hat[1] - 1.959963984540054 * se[1])
         hi = math.exp(fit.beta_hat[1] + 1.959963984540054 * se[1])
-        payload.update({
-            "se": se,
-            "z": [r.z for r in reports],
-            "p": [r.p_or_pi for r in reports],
-            "relative_risk": {"estimate": rr, "ci_lower": lo, "ci_upper": hi},
-        })
-    elif allow_boundary:
-        se = fit.se(1.0)
-        reports = [wald_pvalue(fit, 1.0, j) for j in range(fit.p)]
-        payload.update({"se": se, "z": [r.z for r in reports],
-                        "p": [r.p_or_pi for r in reports],
-                        "boundary_warning": "estimates diverging; values unreliable"})
+        payload["relative_risk"] = {"estimate": rr, "ci_lower": lo, "ci_upper": hi}
     return payload
 
 
@@ -121,8 +120,6 @@ def common_options(fn):
 def _finish(payload, out_path, seed, flagged=False, allow=False):
     payload["seed"] = seed
     payload["version"] = __version__
-    from .io import to_json_text
-
     text = to_json_text(payload)
     if out_path:
         with open(out_path, "w") as fh:
@@ -153,9 +150,9 @@ def fit(data_path, study, outcome, exposure_scale, seed, out_path, allow_boundar
 @click.option("--prior-df", default=2.5, show_default=True)
 @click.option("--prior-scale", default=1.0, show_default=True)
 @click.option("--resolution", default=801, show_default=True,
-              type=click.IntRange(max=MAX_RESOLUTION))
-@click.option("--n-iter", default=80000, show_default=True, type=click.IntRange(max=MAX_N_ITER))
-@click.option("--burn-in", default=20000, show_default=True, type=click.IntRange(max=MAX_N_ITER))
+              type=click.IntRange(MIN_RESOLUTION, MAX_RESOLUTION))
+@click.option("--n-iter", default=80000, show_default=True, type=click.IntRange(1, MAX_N_ITER))
+@click.option("--burn-in", default=20000, show_default=True, type=click.IntRange(0, MAX_N_ITER))
 def posterior(data_path, study, outcome, exposure_scale, seed, out_path,
               allow_boundary, method, prior, prior_df, prior_scale, resolution,
               n_iter, burn_in):
@@ -214,7 +211,7 @@ def posterior(data_path, study, outcome, exposure_scale, seed, out_path,
 @common_options
 @click.option("--half-width", default=3.0, show_default=True)
 @click.option("--resolution", default=61, show_default=True,
-              type=click.IntRange(max=MAX_RESOLUTION))
+              type=click.IntRange(MIN_RESOLUTION, MAX_RESOLUTION))
 @click.option("--anchor", type=_FloatPair(), default=None,
               help="b0,b1 center for boundary fits.")
 @click.option("--grid-out", type=click.Path(), default=None,
@@ -284,7 +281,7 @@ def predict_pi_cmd(pi_val, seed, out_path):
 @click.option("--pi-init", required=True, type=float)
 @click.option("--cap", default=30.0, show_default=True)
 @click.option("--resolution", default=2001, show_default=True,
-              type=click.IntRange(max=MAX_RESOLUTION))
+              type=click.IntRange(MIN_RESOLUTION, MAX_RESOLUTION))
 @click.option("--seed", default=20260824, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--curve-out", type=click.Path(), default=None,
@@ -309,7 +306,8 @@ def rpd(pi_init, cap, resolution, seed, out_path, curve_out):
 
 @cli.command()
 @common_options
-@click.option("--n-sim", default=1000, show_default=True, type=click.IntRange(max=MAX_N_SIM))
+@click.option("--n-sim", default=1000, show_default=True,
+              type=click.IntRange(MIN_N_SIM, MAX_N_SIM))
 def replicate(data_path, study, outcome, exposure_scale, seed, out_path,
               allow_boundary, n_sim):
     """Hierarchical replicate simulation (ML analysis of each replicate)."""
@@ -333,7 +331,7 @@ def replicate(data_path, study, outcome, exposure_scale, seed, out_path,
 @click.option("--interval", type=_FloatPair(), default="-50,50", show_default=True,
               help="Interval for the local-uniformity check and density grid.")
 @click.option("--resolution", default=1001, show_default=True,
-              type=click.IntRange(max=MAX_RESOLUTION))
+              type=click.IntRange(MIN_RESOLUTION, MAX_RESOLUTION))
 @click.option("--seed", default=20260824, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--grid-out", type=click.Path(), default=None)

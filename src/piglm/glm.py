@@ -1,8 +1,8 @@
 """Exponential-family GLMs: likelihood, IRLS fitting, deviance, scale estimates.
 
-Families carry the cumulant b(theta), the variance function V(mu), the
-canonical map theta(mu), the exact log density, the IRLS start, the profile
-scale estimate and a simulator; links carry g, its inverse and derivative.
+Families carry the variance function V(mu), the unit deviance, the exact log
+density, the IRLS start, the profile scale estimate, a simulator and the
+event counts; links carry g, its inverse and derivative.
 Fitting is Fisher scoring (expected information), which coincides with
 Newton for the canonical links used here and is the stable choice for
 gamma-log.
@@ -101,8 +101,6 @@ def _gamma_phi_mpl(y, mu, weights, p, phi_dev):
 @dataclasses.dataclass(frozen=True)
 class Family:
     name: str
-    b: Callable[[np.ndarray], np.ndarray]          # cumulant b(theta)
-    theta: Callable[[np.ndarray], np.ndarray]      # canonical parameter theta(mu)
     variance: Callable[[np.ndarray], np.ndarray]   # V(mu)
     unit_deviance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], np.ndarray]  # valid mean values
@@ -124,7 +122,6 @@ class LinkFn:
     g: Callable[[np.ndarray], np.ndarray]
     ginv: Callable[[np.ndarray], np.ndarray]
     gprime: Callable[[np.ndarray], np.ndarray]
-    canonical_for: Optional[str]
 
 
 # For gaussian, poisson and binomial the adjusted profile is
@@ -132,8 +129,6 @@ class LinkFn:
 FAMILIES = {
     "gaussian": Family(
         name="gaussian",
-        b=lambda th: 0.5 * th**2,
-        theta=lambda mu: mu,
         variance=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
         unit_deviance=lambda y, mu: (y - mu) ** 2,
         in_domain=lambda mu: np.isfinite(mu),
@@ -147,8 +142,6 @@ FAMILIES = {
     ),
     "poisson": Family(
         name="poisson",
-        b=lambda th: np.exp(th),
-        theta=lambda mu: np.log(mu),
         variance=lambda mu: np.asarray(mu, dtype=float),
         unit_deviance=lambda y, mu: 2.0 * (special.xlogy(y, y / mu) - (y - mu)),
         in_domain=lambda mu: mu > 0,
@@ -157,12 +150,10 @@ FAMILIES = {
         start_mu=lambda y, w: np.where(y > 0, y, 0.5),
         phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
         simulate=lambda rng, mu, phi, w: rng.poisson(w * mu) / w,
-        event_counts=lambda y, w: y * w,
+        event_counts=lambda y, w: np.rint(y * w),
     ),
     "binomial": Family(
         name="binomial",
-        b=lambda th: np.log1p(np.exp(-np.abs(th))) + np.maximum(th, 0.0),
-        theta=lambda mu: np.log(mu / (1.0 - mu)),
         variance=lambda mu: mu * (1.0 - mu),
         unit_deviance=lambda y, mu: 2.0 * (special.xlogy(y, y / mu)
                                            + special.xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))),
@@ -172,12 +163,10 @@ FAMILIES = {
         start_mu=lambda y, w: (y * w + 0.5) / (w + 1.0),
         phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
         simulate=lambda rng, mu, phi, w: rng.binomial(w.astype(int), mu) / w,
-        event_counts=lambda y, w: y * w,
+        event_counts=lambda y, w: np.rint(y * w),
     ),
     "gamma": Family(
         name="gamma",
-        b=lambda th: -np.log(-th),
-        theta=lambda mu: -1.0 / mu,
         variance=lambda mu: mu**2,
         unit_deviance=lambda y, mu: 2.0 * (-np.log(y / mu) + (y - mu) / mu),
         in_domain=lambda mu: mu > 0,
@@ -196,21 +185,18 @@ LINKS = {
         g=lambda mu: np.asarray(mu, dtype=float),
         ginv=lambda eta: np.asarray(eta, dtype=float),
         gprime=lambda mu: np.ones_like(np.asarray(mu, dtype=float)),
-        canonical_for="gaussian",
     ),
     "log": LinkFn(
         name="log",
         g=np.log,
         ginv=np.exp,
         gprime=lambda mu: 1.0 / np.asarray(mu, dtype=float),
-        canonical_for="poisson",
     ),
     "logit": LinkFn(
         name="logit",
         g=lambda mu: np.log(mu / (1.0 - mu)),
         ginv=special.expit,
         gprime=lambda mu: 1.0 / (mu * (1.0 - mu)),
-        canonical_for="binomial",
     ),
 }
 
@@ -656,6 +642,8 @@ def quadraticity_diagnostic(surface: LikelihoodSurface, threshold: float = 0.1):
         + surface.info[1, 1] * d1**2
     )
     mask = m2 <= 4.0
+    if not mask.any():
+        raise DomainError("no surface node lies within Mahalanobis distance 2 of the center")
     diff = np.abs(surface.loglik - surface.loglik_quad)
     score_val = float(np.max(diff[mask]))
     return {"score": score_val, "pass": score_val < threshold}

@@ -19,8 +19,7 @@ from .numerics import (
     RngStream,
     fit_gaussian_mixture_1d,
     mixture_tail_pi,
-    std_normal_cdf,
-    student_t_cdf,
+    two_sided_tail,
 )
 from .posterior import GridPosterior, LaplacePosterior
 
@@ -51,28 +50,25 @@ def _two_sided(tail_low: float, tail_high: float) -> float:
 
 
 def wald_pvalue(fit: FitResult, phi: float, index: int, beta0: float = 0.0,
-                dist: str = "normal", dof: Optional[float] = None) -> TailReport:
-    """Two-sided Wald test of beta_index = beta0 at scale phi."""
+                dof: Optional[float] = None) -> TailReport:
+    """Two-sided Wald test of beta_index = beta0 at scale phi.
+
+    The reference law is the standard normal when ``dof`` is None and
+    Student's t with ``dof`` degrees of freedom otherwise.
+    """
     if index >= fit.p:
         raise DomainError("coefficient index out of range")
-    if dist not in ("normal", "t"):
-        raise DomainError("dist must be 'normal' or 't'")
+    if dof is not None and dof <= 0:
+        raise DegreesOfFreedomError("t reference needs dof > 0")
     se = math.sqrt(phi * fit.cov_unscaled[index, index])
-    z = (float(fit.beta_hat[index]) - beta0) / se
-    if dist == "t":
-        if dof is None or dof <= 0:
-            raise DegreesOfFreedomError("t reference needs dof > 0")
-        p = 2.0 * float(student_t_cdf(-abs(z), dof))
-        method = "wald_t"
-    else:
-        p = 2.0 * float(std_normal_cdf(-abs(z)))
-        method = "wald_normal"
+    beta = float(fit.beta_hat[index])
+    z = (beta - beta0) / se
     return TailReport(
         z=z,
         direction="negative" if z < 0 else "positive",
-        p_or_pi=min(p, 1.0),
-        method=method,
-        dof=dof if dist == "t" else None,
+        p_or_pi=two_sided_tail(beta, se, beta0, dof),
+        method="wald_normal" if dof is None else "wald_t",
+        dof=dof,
         boundary_warning=fit.boundary,
         notes="boundary fit: estimate diverging, p-value unreliable" if fit.boundary else "",
     )
@@ -80,15 +76,13 @@ def wald_pvalue(fit: FitResult, phi: float, index: int, beta0: float = 0.0,
 
 def pi_value_analytic(posterior: LaplacePosterior, index: int, beta0: float = 0.0) -> TailReport:
     """pi-value from a normal or Student-t marginal posterior."""
-    z = (float(posterior.mean[index]) - beta0) / posterior.marginal_scale(index)
-    # evaluate each tail directly; 1 - cdf would underflow far out
-    lower = posterior.marginal_cdf(index, beta0)
-    upper = posterior.marginal_cdf(index, 2.0 * float(posterior.mean[index]) - beta0)
-    pi = _two_sided(lower, upper)
+    mean = float(posterior.mean[index])
+    scale = posterior.marginal_scale(index)
+    z = (mean - beta0) / scale
     return TailReport(
         z=z,
         direction="negative" if z < 0 else "positive",
-        p_or_pi=pi,
+        p_or_pi=two_sided_tail(mean, scale, beta0, posterior.dof),
         method="posterior_analytic",
         dof=posterior.dof,
     )
@@ -166,11 +160,9 @@ def tail_comparison(z: float, n_minus_p: int) -> dict:
     """
     if n_minus_p <= 2:
         raise DegreesOfFreedomError("tail comparison needs n - p > 2")
-    a = abs(z)
     return {
-        "p_normal": 2.0 * float(std_normal_cdf(-a)),
-        "p_t_jeffreys": 2.0 * float(student_t_cdf(-a, n_minus_p)),
-        "p_t_uniform": 2.0 * float(
-            student_t_cdf(-a * math.sqrt((n_minus_p - 2.0) / n_minus_p), n_minus_p - 2)
-        ),
+        "p_normal": two_sided_tail(z, 1.0),
+        "p_t_jeffreys": two_sided_tail(z, 1.0, dof=n_minus_p),
+        "p_t_uniform": two_sided_tail(z * math.sqrt((n_minus_p - 2.0) / n_minus_p), 1.0,
+                                      dof=n_minus_p - 2),
     }

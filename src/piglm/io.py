@@ -26,7 +26,6 @@ __all__ = [
     "trial_model_data",
     "format_float",
     "to_json_text",
-    "emit_result_json",
     "emit_plot_csv",
 ]
 
@@ -161,11 +160,6 @@ def _json_value(obj, indent, level):
 def to_json_text(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
     return _json_value(obj, 2, 0) + "\n"
-
-
-def emit_result_json(result: dict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_json_text(result))
 
 
 def emit_plot_csv(path, header: Sequence[str], rows) -> None:

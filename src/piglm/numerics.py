@@ -23,6 +23,7 @@ __all__ = [
     "std_normal_quantile",
     "student_t_cdf",
     "student_t_logpdf",
+    "two_sided_tail",
     "exp_integral_gamma0",
     "erfc_inverse",
     "gauss_legendre",
@@ -82,6 +83,18 @@ def student_t_cdf(x, nu):
         out = np.arctan2(1.0, -x) / math.pi
     else:
         out = special.stdtr(nu, x)
+    return out if out.ndim else float(out)
+
+
+def two_sided_tail(center, scale, beta0=0.0, dof=None):
+    """Two-sided tail min(1, 2 F(-|center - beta0| / scale)) of a symmetric law, elementwise.
+
+    F is the standard normal CDF when ``dof`` is None and ``student_t_cdf``
+    with ``dof`` degrees of freedom otherwise. This is both the Wald p-value
+    and the pi-value of a normal or t posterior centred at ``center``.
+    """
+    z = -np.abs(np.asarray(center, dtype=float) - beta0) / scale
+    out = np.minimum(2.0 * (std_normal_cdf(z) if dof is None else student_t_cdf(z, dof)), 1.0)
     return out if out.ndim else float(out)
 
 
@@ -268,13 +281,13 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
 
 
 def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
-                            max_iter=500, stream=None, return_ll_path=False):
+                            max_iter=500, stream=None):
     """Fit unequal-variance Gaussian mixtures for G = 1..g_max, pick best BIC.
 
     G = 1 is fitted in closed form (mean, population sd, normal log
-    likelihood; ``n_iter`` 1, a one-entry ll path). Each G > 1 runs EM
-    (``_em_batch``) from quantile-spaced means with pooled sd and equal
-    weights, plus ``n_restarts`` random restarts; every start stops on its
+    likelihood; ``n_iter`` 1). Each G > 1 runs EM (``_em_batch``) from
+    quantile-spaced means with pooled sd and equal weights, plus
+    ``n_restarts`` random restarts; every start stops on its
     own relative log-likelihood gain below ``tol``, at ``max_iter``, or once
     it cannot beat the best BIC so far. The component-sd floor is 1e-6 x
     sample sd to keep components from collapsing on a point. The scan over G
@@ -298,7 +311,6 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
     ll1 = float((-0.5 * ((x - mean) / sd) ** 2 - np.log(sd) - 0.5 * math.log(2.0 * math.pi)).sum())
     best = MixtureModel1D(np.ones(1), np.array([mean]), np.array([sd]), ll1,
                           -2.0 * ll1 + 2.0 * math.log(n), 1)
-    best_path = [ll1]
     stages = [MixtureStage(1, best.bic, (1,), 0)]
     for g in range(2, g_max + 1):
         means0 = [np.quantile(x, (np.arange(g) + 0.5) / g)]
@@ -310,7 +322,7 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
         S = len(means0)
         k_free = 3 * g - 1
         bar = (k_free * math.log(n) - best.bic) / 2.0
-        w, m, s, ll, iters, barred, path = _em_batch(
+        w, m, s, ll, iters, barred, _ = _em_batch(
             x, np.full((S, g), 1.0 / g), np.array(means0), np.array(sds0),
             tol, max_iter, sd_floor, bar=bar)
         i_best = int(np.argmax(ll))
@@ -320,15 +332,11 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
             order = np.argsort(m[i_best])
             best = MixtureModel1D(w[i_best][order], m[i_best][order], s[i_best][order],
                                   float(ll[i_best]), bic, int(iters[i_best]))
-            best_path = path if i_best == 0 else []
         else:
             # BIC is unimodal in G here in practice; once it worsens, larger G
             # only adds redundant components, so stop scanning
             break
-    best = dataclasses.replace(best, stages=tuple(stages))
-    if return_ll_path:
-        return best, best_path
-    return best
+    return dataclasses.replace(best, stages=tuple(stages))
 
 
 def mixture_tail_pi(model: MixtureModel1D) -> float:
@@ -338,5 +346,4 @@ def mixture_tail_pi(model: MixtureModel1D) -> float:
     subtract beta0 before fitting), matching the smoothed tail-area recipe
     used for MCMC output.
     """
-    z = np.abs(model.means) / model.sds
-    return float(np.sum(model.weights * 2.0 * std_normal_cdf(-z)))
+    return float(np.sum(model.weights * two_sided_tail(model.means, model.sds)))

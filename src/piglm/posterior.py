@@ -43,21 +43,18 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class LaplacePosterior:
-    """Normal or multivariate-t posterior for the coefficient vector.
+    """Normal (``dof`` None) or multivariate-t posterior for the coefficient vector.
 
-    For kind='mvt', ``cov`` holds the scale matrix and ``dof`` the degrees of
-    freedom; marginals are location-scale Student-t.
+    With ``dof`` set, ``cov`` holds the scale matrix and the marginals are
+    location-scale Student-t with ``dof`` degrees of freedom.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    kind: str                      # 'normal' or 'mvt'
     dof: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("normal", "mvt"):
-            raise DomainError("kind must be 'normal' or 'mvt'")
-        if self.kind == "mvt" and (self.dof is None or self.dof < 1):
+        if self.dof is not None and self.dof < 1:
             raise DegreesOfFreedomError("mvt posterior needs dof >= 1")
 
     @property
@@ -69,24 +66,22 @@ class LaplacePosterior:
 
     def marginal_sd(self, index: int) -> float:
         s = self.marginal_scale(index)
-        if self.kind == "mvt":
-            if self.dof <= 2:
-                return math.inf
-            return s * math.sqrt(self.dof / (self.dof - 2.0))
-        return s
+        if self.dof is None:
+            return s
+        if self.dof <= 2:
+            return math.inf
+        return s * math.sqrt(self.dof / (self.dof - 2.0))
 
     def marginal_cdf(self, index: int, x: float) -> float:
         z = (x - self.mean[index]) / self.marginal_scale(index)
-        if self.kind == "mvt":
-            return float(student_t_cdf(z, self.dof))
-        return float(std_normal_cdf(z))
+        return float(std_normal_cdf(z) if self.dof is None else student_t_cdf(z, self.dof))
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
         rng = stream.generator()
         L = np.linalg.cholesky(self.cov)
         z = rng.standard_normal((n, self.p))
         draws = self.mean + z @ L.T
-        if self.kind == "mvt":
+        if self.dof is not None:
             g = rng.chisquare(self.dof, size=n) / self.dof
             draws = self.mean + (draws - self.mean) / np.sqrt(g)[:, None]
         return draws
@@ -98,6 +93,11 @@ class ScaleMarginal:
 
     dof: int
     scale: float
+
+    @classmethod
+    def from_deviance(cls, deviance: float, dof: int) -> "ScaleMarginal":
+        """The marginal at ``dof`` degrees of freedom with scale D/dof, which must follow the dof."""
+        return cls(dof, deviance / dof)
 
     @property
     def mode(self) -> float:
@@ -136,7 +136,7 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
     if not fit.converged:
         raise BoundaryError("posterior unavailable for a non-converged fit")
     if family.known_scale:
-        post = LaplacePosterior(fit.beta_hat, fit.cov_unscaled, "normal")
+        post = LaplacePosterior(fit.beta_hat, fit.cov_unscaled)
         return LaplaceResult(post, None, post, 1.0)
     n, p = fit.n, fit.p
     kind = scale_prior.kind if scale_prior is not None else "jeffreys"
@@ -144,9 +144,9 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
     if dof <= 0:
         raise DegreesOfFreedomError("scale marginal needs positive dof")
     phi_map = fit.deviance / (n - p)
-    marginal = ScaleMarginal(dof, fit.deviance / dof)
-    beta_post = LaplacePosterior(fit.beta_hat, marginal.scale * fit.cov_unscaled, "mvt", dof)
-    plugin = LaplacePosterior(fit.beta_hat, phi_map * fit.cov_unscaled, "normal")
+    marginal = ScaleMarginal.from_deviance(fit.deviance, dof)
+    beta_post = LaplacePosterior(fit.beta_hat, marginal.scale * fit.cov_unscaled, dof)
+    plugin = LaplacePosterior(fit.beta_hat, phi_map * fit.cov_unscaled)
     return LaplaceResult(beta_post, marginal, plugin, phi_map)
 
 
@@ -352,6 +352,8 @@ def rw_metropolis(log_post: Callable, init, proposal_cov, n_iter: int,
     burn-in toward an acceptance rate in [0.2, 0.5], then freezes, so the
     retained draws come from a fixed kernel. Deterministic given ``stream``.
     """
+    if n_iter < 1 or burn_in < 0:
+        raise DomainError("rw_metropolis needs n_iter >= 1 and burn_in >= 0")
     init = np.atleast_1d(np.asarray(init, dtype=float))
     p = init.size
     cov = np.atleast_2d(np.asarray(proposal_cov, dtype=float))
@@ -388,7 +390,7 @@ def rw_metropolis(log_post: Callable, init, proposal_cov, n_iter: int,
             acc_block = 0
         elif (t + 1) % block == 0:
             acc_block = 0
-    rate = acc_retained / max(n_iter, 1)
+    rate = acc_retained / n_iter
     if rate == 0.0:
         raise MixingError("chain never moved after adaptation")
     return McmcChain(draws[burn_in:], rate, stream, burn_in)

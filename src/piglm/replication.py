@@ -21,7 +21,7 @@ from .errors import BoundaryError, DomainError, HarnessError
 from .glm import FitResult, ModelData, _resolve, fit_irls_batch
 from .inference import pi_value_from_grid
 from .numerics import (RngStream, gauss_legendre, std_normal_cdf, std_normal_logcdf,
-                       std_normal_quantile)
+                       std_normal_quantile, two_sided_tail)
 from .posterior import LaplacePosterior, ScaleMarginal, grid_posterior, vectorized_loglik
 from .priors import PriorSpec
 
@@ -56,8 +56,8 @@ def predictive_posterior(fit: FitResult, phi: float = 1.0) -> dict:
         raise BoundaryError("predictive posterior needs a converged interior fit")
     sigma = phi * fit.cov_unscaled
     return {
-        "predictive": LaplacePosterior(fit.beta_hat, 3.0 * sigma, "normal"),
-        "replicate_estimator": LaplacePosterior(fit.beta_hat, 2.0 * sigma, "normal"),
+        "predictive": LaplacePosterior(fit.beta_hat, 3.0 * sigma),
+        "replicate_estimator": LaplacePosterior(fit.beta_hat, 2.0 * sigma),
     }
 
 
@@ -241,7 +241,6 @@ class ReplicationConfig:
     n_sim: int
     seed: RngStream
     kernel: TranslationKernel = TranslationKernel()
-    replicate_design: Optional[ModelData] = None    # default: initial design
     analyses: tuple = ("ml",)                       # 'ml', 'bayes_flat', ('bayes_student_t', df, scale)
     min_events_guard: int = 1
     target_index: int = -1                          # coefficient whose p/pi is summarized
@@ -270,13 +269,14 @@ class ReplicationReport:
 
 
 def _bayes_priors(tag, p):
-    """Per-parameter priors of a Bayes analysis tag; DomainError for any other tag."""
+    """Summary key and per-parameter priors of a Bayes analysis tag; DomainError
+    for any other tag."""
     if tag == "bayes_flat":
-        return [None] * p
+        return tag, [None] * p
     if isinstance(tag, tuple) and len(tag) == 3 and tag[0] == "bayes_student_t":
         specs = [None] * p
         specs[-1] = PriorSpec("test_invchisq", beta0=0.0, nu0=tag[1], s=tag[2])
-        return specs
+        return tag[0], specs
     raise DomainError(f"unknown analysis {tag!r}")
 
 
@@ -326,72 +326,66 @@ def _ml_failure_reasons(bf) -> np.ndarray:
     return reasons
 
 
-def _wald_p(beta, cov, phi) -> np.ndarray:
-    """Two-sided normal Wald p-values for every coefficient of every row."""
-    z = beta / np.sqrt(phi[:, None] * np.diagonal(cov, axis1=1, axis2=2))
-    return np.minimum(2.0 * std_normal_cdf(-np.abs(z)), 1.0)
-
-
 def run_replication(initial: FitResult, family, link, data: ModelData,
                     config: ReplicationConfig) -> ReplicationReport:
     """Hierarchical replicate simulation: draw generating parameters from the
-    initial posterior, translate, simulate replicate data on the replicate
+    initial posterior, translate, simulate replicate data on the initial
     design, re-run each configured analysis, and summarize.
 
-    Replicates are simulated one at a time, replicate r from stream id r + 1,
-    so the result is deterministic given the config's seed. The ML analysis
-    then fits every simulated replicate in one ``fit_irls_batch`` call.
-    Failed replicates are flagged with a reason ("mean outside family
-    domain" when the link maps the generating coefficients off the family's
-    means, "simulation overflow", "too few events", "fit error" when IRLS
-    took no step, "boundary", "non-convergence") and excluded from summaries;
-    the excluded fraction is reported.
+    Every replicate is simulated first, replicate r from stream id r + 1, so
+    the result is deterministic given the config's seed. Each analysis then
+    runs as one block: the ML analysis fits every simulated replicate in one
+    ``fit_irls_batch`` call and takes their Wald p-values from
+    ``two_sided_tail``; each Bayes analysis takes the grid pi-value of every
+    replicate that the ML analysis kept. Failed replicates are flagged with a
+    reason ("mean outside family domain" when the link maps the generating
+    coefficients off the family's means, "simulation overflow", "too few
+    events", "fit error" when IRLS took no step, "boundary",
+    "non-convergence") and excluded from summaries; the excluded fraction is
+    reported.
     """
     family, link = _resolve(family, link)
     if initial.boundary or not initial.converged:
         raise BoundaryError("replication harness needs a converged interior fit")
-    rep_data = config.replicate_design if config.replicate_design is not None else data
-    if not -rep_data.p <= config.target_index < rep_data.p:
-        raise DomainError(f"target_index {config.target_index} out of range for p = {rep_data.p}")
+    if not -data.p <= config.target_index < data.p:
+        raise DomainError(f"target_index {config.target_index} out of range for p = {data.p}")
     beta_hat = initial.beta_hat
     cov_u = initial.cov_unscaled
     scale_marginal = None
     if not family.known_scale:
         dof = config.scale_dof if config.scale_dof is not None else initial.n - initial.p
-        scale_marginal = ScaleMarginal(dof, initial.deviance / dof)
+        scale_marginal = ScaleMarginal.from_deviance(initial.deviance, dof)
     chol = np.linalg.cholesky(cov_u)
-    records, survivors, ys = [], [], []
+    records, kept, ys = [], [], []
     for r in range(config.n_sim):
-        record, y = _simulate_replicate(r, family, link, rep_data, beta_hat, cov_u,
+        record, y = _simulate_replicate(r, family, link, data, beta_hat, cov_u,
                                         scale_marginal, config, chol)
         records.append(record)
         if y is not None:
-            survivors.append(record)
+            kept.append(record)
             ys.append(y)
     if "ml" in config.analyses and ys:
-        bf = fit_irls_batch(family, link, np.array(ys), rep_data.X, rep_data.offset,
-                            rep_data.weights)
+        bf = fit_irls_batch(family, link, np.array(ys), data.X, data.offset, data.weights)
         reasons = _ml_failure_reasons(bf)
-        usable = reasons == ""
-        phi = np.ones(len(ys)) if family.known_scale else bf.deviance / (rep_data.n - rep_data.p)
-        ml_p = np.full(bf.beta_hat.shape, np.nan)
-        ml_p[usable] = _wald_p(bf.beta_hat[usable], bf.cov_unscaled[usable], phi[usable])
+        ok = np.flatnonzero(reasons == "")
+        phi = np.ones(len(ys)) if family.known_scale else bf.deviance / (data.n - data.p)
+        ml_p = two_sided_tail(bf.beta_hat[ok], np.sqrt(
+            phi[ok, None] * np.diagonal(bf.cov_unscaled[ok], axis1=1, axis2=2)))
+        for record, reason in zip(kept, reasons):
+            if reason:
+                _fail(record, reason)
+        for i, p in zip(ok, ml_p):
+            kept[i]["ml_estimates"] = bf.beta_hat[i]
+            kept[i]["ml_p"] = p
+        kept, ys = [kept[i] for i in ok], [ys[i] for i in ok]
+    bayes = [_bayes_priors(tag, data.p) for tag in config.analyses if tag != "ml"]
     se = np.sqrt(np.diag(cov_u))
     bounds = [(b - 8.0 * s, b + 8.0 * s) for b, s in zip(beta_hat, se)]
-    for i, (record, y) in enumerate(zip(survivors, ys)):
-        for tag in config.analyses:
-            if tag == "ml":
-                if reasons[i]:
-                    _fail(record, reasons[i])
-                    break
-                record["ml_estimates"] = bf.beta_hat[i]
-                record["ml_p"] = ml_p[i]
-                continue
-            priors = _bayes_priors(tag, rep_data.p)
-            ll = vectorized_loglik(family, link, ModelData(y=y, X=rep_data.X, offset=rep_data.offset,
-                                                           weights=rep_data.weights))
+    for key, priors in bayes:
+        for record, y in zip(kept, ys):
+            ll = vectorized_loglik(family, link, ModelData(y=y, X=data.X, offset=data.offset,
+                                                           weights=data.weights))
             gp = grid_posterior(ll, priors, bounds, resolution=config.bayes_resolution)
-            key = tag if isinstance(tag, str) else tag[0]
             record[f"{key}_pi"] = (pi_value_from_grid(gp, config.target_index).p_or_pi
                                    if gp.proper else None)
     good = [rec for rec in records if not rec["failed"]]
@@ -399,7 +393,7 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
         raise HarnessError("every replicate failed")
     j = config.target_index
     summaries = {"fraction_failed": 1.0 - len(good) / len(records)}
-    if any("ml_estimates" in rec for rec in good):
+    if "ml" in config.analyses:
         est = np.array([rec["ml_estimates"] for rec in good])
         pvals = np.array([rec["ml_p"][j] for rec in good])
         logs = -np.log10(np.maximum(pvals, 1e-300))
@@ -412,12 +406,8 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
             },
             "fraction_p_below_0.05": float(np.mean(pvals < 0.05)),
         })
-    for tag in config.analyses:
-        if tag == "ml":
-            continue
-        key = tag if isinstance(tag, str) else tag[0]
-        pis = [rec.get(f"{key}_pi") for rec in good]
-        pis = [x for x in pis if x is not None]
+    for key, _ in bayes:
+        pis = [rec[f"{key}_pi"] for rec in good if rec[f"{key}_pi"] is not None]
         if pis:
             summaries[f"{key}_pi_median"] = float(np.median(pis))
     return ReplicationReport(records, summaries, config)

@@ -278,6 +278,15 @@ class TestFamilySimulate:
         assert np.array_equal(FAMILIES["poisson"].event_counts(y, w), [1.0, 4.0])
         assert np.array_equal(FAMILIES["binomial"].event_counts(y, w), [1.0, 4.0])
 
+    @pytest.mark.parametrize("name", ["poisson", "binomial"])
+    def test_event_counts_are_whole_where_the_product_falls_short(self, name):
+        # the nine (k <= 5, w < 100) pairs where (k/w)*w lands below k, such as
+        # (1/49)*49 = 0.9999999999999999: one event must still count as one
+        k, w = np.array([(1, 49), (1, 98), (2, 49), (2, 98), (3, 47), (3, 94), (4, 49),
+                         (4, 98), (5, 77)], dtype=float).T
+        assert np.all(k / w * w < k)
+        assert np.array_equal(FAMILIES[name].event_counts(k / w, w), k)
+
 
 class TestSaddlepoint:
     def test_gaussian_exact(self):

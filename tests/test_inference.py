@@ -28,10 +28,12 @@ class TestWald:
 
     def test_t_reference(self, credence_primary):
         data, fit = credence_primary
-        rep = wald_pvalue(fit, 1.0, 1, dist="t", dof=8)
+        rep = wald_pvalue(fit, 1.0, 1, dof=8)
         assert rep.p_or_pi == pytest.approx(2 * stats.t.cdf(rep.z, 8), rel=1e-10)
+        assert (rep.method, rep.dof) == ("wald_t", 8)
+        assert wald_pvalue(fit, 1.0, 1).method == "wald_normal"
         with pytest.raises(pg.DegreesOfFreedomError):
-            wald_pvalue(fit, 1.0, 1, dist="t")
+            wald_pvalue(fit, 1.0, 1, dof=0)
 
     def test_nonzero_reference_value(self, credence_primary):
         data, fit = credence_primary
@@ -52,15 +54,20 @@ class TestWald:
 
 
 class TestPiValue:
-    def test_flat_prior_posterior_tail_equals_wald(self, credence_primary):
-        # under a locally uniform prior the posterior tail area reproduces the
-        # frequentist tail area numerically
-        data, fit = credence_primary
-        post = pg.laplace_posterior(fit, None, "poisson").beta_posterior
-        rep = pi_value_analytic(post, 1)
-        wald = wald_pvalue(fit, 1.0, 1)
-        assert rep.p_or_pi == pytest.approx(wald.p_or_pi, rel=1e-9)
-        assert rep.direction == wald.direction
+    def test_flat_prior_posterior_tail_equals_wald(self, trial_records):
+        # under a locally uniform prior the posterior tail area is the
+        # frequentist tail area: one tail routine gives both, to the bit
+        for study, outcome in (("CREDENCE", "primary"), ("CREDENCE", "dka"),
+                               ("DAPA-CKD", "primary")):
+            data, _ = pg.trial_model_data(trial_records, study, outcome)
+            fit = pg.fit_irls("poisson", "log", data)
+            assert not fit.boundary
+            post = pg.laplace_posterior(fit, None, "poisson").beta_posterior
+            for j in range(fit.p):
+                rep = pi_value_analytic(post, j)
+                wald = wald_pvalue(fit, 1.0, j)
+                assert rep.p_or_pi == wald.p_or_pi
+                assert rep.direction == wald.direction
 
     def test_grid_route_agrees_with_analytic(self):
         data = pg.ModelData(y=np.array([0.8, 1.2, 1.0, 0.6]), X=np.ones((4, 1)))
@@ -200,9 +207,9 @@ class TestTailComparison:
 @given(st.floats(min_value=-6, max_value=6), st.floats(min_value=0.2, max_value=5))
 @settings(max_examples=50, deadline=None)
 def test_pi_value_symmetric_in_posterior_mean(mean, sd):
-    post = pg.LaplacePosterior(np.array([mean]), np.array([[sd * sd]]), "normal")
+    post = pg.LaplacePosterior(np.array([mean]), np.array([[sd * sd]]))
     a = pi_value_analytic(post, 0)
-    post2 = pg.LaplacePosterior(np.array([-mean]), np.array([[sd * sd]]), "normal")
+    post2 = pg.LaplacePosterior(np.array([-mean]), np.array([[sd * sd]]))
     b = pi_value_analytic(post2, 0)
     assert a.p_or_pi == pytest.approx(b.p_or_pi, rel=1e-9)
     assert 0.0 < a.p_or_pi <= 1.0

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import piglm as pg
 from piglm import cli
-from piglm.cli import MAX_N_ITER, MAX_N_SIM, MAX_RESOLUTION, main
+from piglm.cli import MAX_N_ITER, MAX_N_SIM, MAX_RESOLUTION, MIN_N_SIM, MIN_RESOLUTION, main
 from piglm.io import format_float, to_json_text
 
 
@@ -259,17 +259,18 @@ class _Reached(Exception):
 
 _STUDY = ["--study", "CREDENCE", "--outcome", "primary"]
 _SIZED = [
-    pytest.param(["replicate", *_STUDY, "--n-sim"], MAX_N_SIM, id="replicate-n-sim"),
-    pytest.param(["posterior", *_STUDY, "--method", "grid", "--resolution"], MAX_RESOLUTION,
-                 id="posterior-resolution"),
-    pytest.param(["surface", *_STUDY, "--resolution"], MAX_RESOLUTION, id="surface-resolution"),
-    pytest.param(["rpd", "--pi-init", "1e-4", "--resolution"], MAX_RESOLUTION,
+    pytest.param(["replicate", *_STUDY, "--n-sim"], MIN_N_SIM, MAX_N_SIM, id="replicate-n-sim"),
+    pytest.param(["posterior", *_STUDY, "--method", "grid", "--resolution"], MIN_RESOLUTION,
+                 MAX_RESOLUTION, id="posterior-resolution"),
+    pytest.param(["surface", *_STUDY, "--resolution"], MIN_RESOLUTION, MAX_RESOLUTION,
+                 id="surface-resolution"),
+    pytest.param(["rpd", "--pi-init", "1e-4", "--resolution"], MIN_RESOLUTION, MAX_RESOLUTION,
                  id="rpd-resolution"),
     pytest.param(["priors", "--kind", "test_fixed_sigma", "--sigma", "1000", "--resolution"],
-                 MAX_RESOLUTION, id="priors-resolution"),
-    pytest.param(["posterior", *_STUDY, "--method", "metropolis", "--n-iter"], MAX_N_ITER,
+                 MIN_RESOLUTION, MAX_RESOLUTION, id="priors-resolution"),
+    pytest.param(["posterior", *_STUDY, "--method", "metropolis", "--n-iter"], 1, MAX_N_ITER,
                  id="posterior-n-iter"),
-    pytest.param(["posterior", *_STUDY, "--method", "metropolis", "--burn-in"], MAX_N_ITER,
+    pytest.param(["posterior", *_STUDY, "--method", "metropolis", "--burn-in"], 0, MAX_N_ITER,
                  id="posterior-burn-in"),
 ]
 
@@ -283,14 +284,32 @@ class TestSizeLimits:
         for name in ("_load", "rpd_curve", "local_uniformity_check"):
             monkeypatch.setattr(cli, name, reached)
 
-    @pytest.mark.parametrize("args,limit", _SIZED)
-    def test_over_the_limit_is_a_usage_error(self, args, limit):
+    @pytest.mark.parametrize("args,floor,limit", _SIZED)
+    def test_over_the_limit_is_a_usage_error(self, args, floor, limit):
         assert main(args + [str(limit + 1)]) == 64
 
-    @pytest.mark.parametrize("args,limit", _SIZED)
-    def test_the_limit_itself_is_accepted(self, args, limit):
+    @pytest.mark.parametrize("args,floor,limit", _SIZED)
+    def test_the_limit_itself_is_accepted(self, args, floor, limit):
         with pytest.raises(_Reached):
             main(args + [str(limit)])
+
+    @pytest.mark.parametrize("args,floor,limit", _SIZED)
+    def test_under_the_floor_is_a_usage_error(self, args, floor, limit):
+        # rejected while the options are parsed, before any work is done
+        for value in sorted({floor - 1, floor - 2, -3, -5}):
+            assert main(args + [str(value)]) == 64
+
+    @pytest.mark.parametrize("args,floor,limit", _SIZED)
+    def test_the_floor_itself_is_accepted(self, args, floor, limit):
+        with pytest.raises(_Reached):
+            main(args + [str(floor)])
+
+
+@pytest.mark.parametrize("extra", [["--resolution", "2"],
+                                   ["--resolution", "4", "--half-width", "100"]])
+def test_surface_without_a_node_near_the_fit_is_a_domain_error(extra, capsys):
+    assert main(["surface", *_STUDY, *extra]) == 2
+    assert "Mahalanobis distance 2" in capsys.readouterr().err
 
 
 class TestImportFloor:

@@ -16,6 +16,7 @@ from piglm.numerics import (
     std_normal_quantile,
     student_t_cdf,
     student_t_logpdf,
+    two_sided_tail,
 )
 
 
@@ -185,9 +186,12 @@ class TestMixture:
         assert model.weights == pytest.approx([0.6, 0.4], abs=0.05)
 
     def test_loglik_path_monotone(self, rng):
+        # one EM start from poor means: no iteration lowers the log likelihood
         x = np.concatenate([rng.normal(-1.0, 0.4, 800), rng.normal(1.0, 0.4, 800)])
-        model, path = pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(1, 3),
-                                                 return_ll_path=True)
+        *_, iters, _, path = numerics._em_batch(
+            x, np.full((1, 2), 0.5), np.array([[-0.1, 0.2]]), np.full((1, 2), 1.0),
+            1e-8, 500, 1e-6, bar=-math.inf)
+        assert len(path) == iters[0] > 10
         assert all(b >= a - 1e-9 for a, b in zip(path, path[1:]))
 
     def test_logpdf_matches_quadrature_mass(self, rng):
@@ -246,6 +250,31 @@ def _ar1(phi, n, seed):
     for i in range(1, n):
         x[i] = phi * x[i - 1] + e[i]
     return x
+
+
+class TestTwoSidedTail:
+    # distances chosen so that beta0 +- d and their differences are exact
+    D = np.array([0.0, 0.25, 1.0, 1.96875, 5.0, 12.0, 37.5])
+
+    @pytest.mark.parametrize("dof", [None, 1, 2.5, 30])
+    def test_matches_scipy_and_is_symmetric(self, dof):
+        ref = 2.0 * (stats.norm.sf(self.D) if dof is None else stats.t.sf(self.D, dof))
+        up = two_sided_tail(0.5 + 2.0 * self.D, 2.0, beta0=0.5, dof=dof)
+        down = two_sided_tail(0.5 - 2.0 * self.D, 2.0, beta0=0.5, dof=dof)
+        assert np.array_equal(up, down)
+        assert up == pytest.approx(ref, rel=1e-12 if dof is None else 1e-9, abs=0.0)
+        if dof is None:
+            assert up[-1] > 0.0      # 2 Phi(-37.5) ~ 4.6e-308 keeps its digits
+
+    def test_elementwise_and_scalar(self):
+        center = np.array([[0.3, -2.0], [1.5, 0.0]])
+        scale = np.array([[1.0, 0.5], [3.0, 2.0]])
+        out = two_sided_tail(center, scale)
+        assert out.shape == (2, 2)
+        for i, j in np.ndindex(2, 2):
+            got = two_sided_tail(float(center[i, j]), float(scale[i, j]))
+            assert isinstance(got, float) and got == out[i, j]
+        assert out[1, 1] == 1.0 and two_sided_tail(0.0, 1.0, dof=1) == 1.0
 
 
 class TestMixtureBar:

@@ -26,7 +26,7 @@ class TestLargeSamplePosterior:
         data, fit = credence_primary
         res = laplace_posterior(fit, None, "poisson")
         post = res.beta_posterior
-        assert post.kind == "normal"
+        assert post.dof is None
         assert post.mean == pytest.approx(fit.beta_hat)
         assert post.cov == pytest.approx(fit.cov_unscaled)
         assert res.scale_marginal is None
@@ -35,7 +35,6 @@ class TestLargeSamplePosterior:
         data, fit = gaussian_fit
         res = laplace_posterior(fit, pg.ScalePriorSpec("jeffreys"), "gaussian")
         n, p = data.n, data.p
-        assert res.beta_posterior.kind == "mvt"
         assert res.beta_posterior.dof == n - p
         # scale matrix matches the classical regression posterior s^2 (X'X)^-1
         s2 = fit.deviance / (n - p)
@@ -44,12 +43,22 @@ class TestLargeSamplePosterior:
         assert res.scale_marginal.scale == pytest.approx(s2, rel=1e-12)
         assert res.phi_map == pytest.approx(s2, rel=1e-12)
         # plug-in variant is normal at the same location/scale
-        assert res.plugin.kind == "normal"
+        assert res.plugin.dof is None
         # marginal cdf agrees with an independent reference t distribution
         x = fit.beta_hat[1] + 0.7
         scale = math.sqrt(s2 * fit.cov_unscaled[1, 1])
         ref = stats.t.cdf((x - fit.beta_hat[1]) / scale, n - p)
         assert res.beta_posterior.marginal_cdf(1, x) == pytest.approx(ref, rel=1e-10)
+
+    def test_jeffreys_pi_equals_t_wald_p(self, gaussian_fit):
+        # the t_{n-p} posterior at scale D/(n-p) and the t_{n-p} Wald test
+        # share one tail routine
+        data, fit = gaussian_fit
+        post = laplace_posterior(fit, pg.ScalePriorSpec("jeffreys"), "gaussian").beta_posterior
+        dof = data.n - data.p
+        for j in range(fit.p):
+            wald = pg.wald_pvalue(fit, fit.deviance / dof, j, dof=dof)
+            assert wald.p_or_pi == pg.pi_value_analytic(post, j).p_or_pi
 
     def test_bounded_scale_prior_dof(self, gaussian_fit):
         data, fit = gaussian_fit
@@ -372,6 +381,12 @@ class TestMetropolis:
         with pytest.raises(pg.DomainError):
             rw_metropolis(lambda b: -np.inf, np.zeros(1), np.eye(1), 100, 10,
                           pg.RngStream(2, 2))
+
+    @pytest.mark.parametrize("n_iter,burn_in", [(0, 10), (-3, 10), (100, -5)])
+    def test_bad_sizes_rejected(self, n_iter, burn_in):
+        with pytest.raises(pg.DomainError, match="n_iter >= 1 and burn_in >= 0"):
+            rw_metropolis(lambda b: -0.5 * float(b @ b), np.zeros(1), np.eye(1), n_iter,
+                          burn_in, pg.RngStream(2, 4))
 
     def test_frozen_chain_raises_mixing_error(self):
         # density is a point mass at the start: every proposal is rejected

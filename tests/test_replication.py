@@ -304,6 +304,21 @@ class TestHarness:
         ml_med = 10 ** (-rep.summaries["neglog10_p_quantiles"][0.5])
         assert abs(math.log10(med) - math.log10(ml_med)) < 1.0
 
+    def test_bayes_runs_on_the_replicates_ml_kept(self, trial_records):
+        # CREDENCE/dka has one placebo event; without the events guard many
+        # replicates have none and fit at the boundary. The order of the
+        # analysis tags changes nothing.
+        data, _ = pg.trial_model_data(trial_records, "CREDENCE", "dka")
+        fit = fit_irls("poisson", "log", data)
+        a, b = (run_replication(fit, "poisson", "log", data,
+                                ReplicationConfig(n_sim=100, seed=pg.RngStream(6), analyses=an,
+                                                  min_events_guard=0, bayes_resolution=51))
+                for an in (("bayes_flat", "ml"), ("ml", "bayes_flat")))
+        ml_failed = [r for r in a.records if r["failure_reason"] == "boundary"]
+        assert ml_failed and not any("bayes_flat_pi" in r for r in ml_failed)
+        assert all("bayes_flat_pi" in r for r in a.records if not r["failed"])
+        assert pg.to_json_text(a.summaries) == pg.to_json_text(b.summaries)
+
     def test_boundary_initial_rejected(self, dapa_dka):
         data, fit = dapa_dka
         with pytest.raises(pg.BoundaryError):
