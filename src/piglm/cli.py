@@ -21,8 +21,8 @@ from .decision import AnalystParams, ClientParams, evaluate_decision, evpi_pure,
 from .errors import BoundaryError, ConvergenceError, DomainError, MixingError, \
     ParseError, PiglmError, SupportError
 from .glm import fit_irls, likelihood_surface, quadraticity_diagnostic
-from .inference import pi_value_analytic, pi_value_from_grid, pi_value_from_samples, \
-    wald_pvalue
+from .inference import MIN_MIXTURE_SAMPLES, pi_value_analytic, pi_value_from_grid, \
+    pi_value_from_samples, wald_pvalue
 from .io import bundled_trials_path, emit_plot_csv, parse_trial_csv, to_json_text, \
     trial_model_data
 from .numerics import RngStream
@@ -39,7 +39,7 @@ EXIT_USAGE = 64
 # parsed, before any data is loaded. A 2001^2 posterior grid holds 4e6 points,
 # a replicate batch holds (n_sim, n, p) arrays, and a chain stores every step.
 # Lower limits: a grid axis needs two nodes for its trapezoid and its tail
-# slope, and the replication harness needs 100 replicates.
+# slope, the harness 100 replicates, and the metropolis pi-value's mixture 1000 draws.
 MIN_RESOLUTION = 2
 MAX_RESOLUTION = 2001
 MIN_N_SIM = 100
@@ -151,7 +151,8 @@ def fit(data_path, study, outcome, exposure_scale, seed, out_path, allow_boundar
 @click.option("--prior-scale", default=1.0, show_default=True)
 @click.option("--resolution", default=801, show_default=True,
               type=click.IntRange(MIN_RESOLUTION, MAX_RESOLUTION))
-@click.option("--n-iter", default=80000, show_default=True, type=click.IntRange(1, MAX_N_ITER))
+@click.option("--n-iter", default=80000, show_default=True,
+              type=click.IntRange(MIN_MIXTURE_SAMPLES, MAX_N_ITER))
 @click.option("--burn-in", default=20000, show_default=True, type=click.IntRange(0, MAX_N_ITER))
 def posterior(data_path, study, outcome, exposure_scale, seed, out_path,
               allow_boundary, method, prior, prior_df, prior_scale, resolution,

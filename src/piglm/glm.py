@@ -49,6 +49,7 @@ __all__ = [
 # Estimates beyond this magnitude on the link scale are treated as diverging
 # to the boundary (e.g. a log rate ratio of 15 is e^15 ~ 3e6).
 BOUNDARY_GUARD = 15.0
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _poisson_loglik(y, mu, phi, weights):
@@ -58,6 +59,12 @@ def _poisson_loglik(y, mu, phi, weights):
     out -= special.gammaln(y + 1.0)
     out *= weights
     return out
+
+
+def _poisson_simulate(rng, mu, phi, w):
+    """Poisson(w mu) / w, and NaN where w mu is past the largest mean numpy's sampler takes."""
+    ok = w * mu <= _POISSON_LAM_MAX
+    return np.where(ok, rng.poisson(np.where(ok, w * mu, 0.0)), np.nan) / w
 
 
 def _binomial_loglik(y, mu, phi, m):
@@ -108,7 +115,7 @@ class Family:
     loglik: Callable[..., np.ndarray]              # (y, mu, phi, w): exact log density terms
     start_mu: Callable[..., np.ndarray]            # (y, w): IRLS start mean
     phi_mpl: Callable[..., float]                  # (y, mu, w, p, phi_dev): argmax (p/2) log phi + l
-    simulate: Callable[..., np.ndarray]            # (rng, mu, phi, w): one response per mean
+    simulate: Callable[..., np.ndarray]            # (rng, mu, phi, w): a response per mean, or NaN
     event_counts: Optional[Callable[..., np.ndarray]]  # (y, w): events; None if continuous
 
     def check_mu(self, mu):
@@ -137,7 +144,7 @@ FAMILIES = {
                                       - w * (y - mu) ** 2 / (2.0 * phi)),
         start_mu=lambda y, w: y.astype(float),
         phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
-        simulate=lambda rng, mu, phi, w: mu + rng.standard_normal(len(mu)) * np.sqrt(phi / w),
+        simulate=lambda rng, mu, phi, w: mu + rng.standard_normal(np.shape(mu)) * np.sqrt(phi / w),
         event_counts=None,
     ),
     "poisson": Family(
@@ -149,7 +156,7 @@ FAMILIES = {
         loglik=_poisson_loglik,
         start_mu=lambda y, w: np.where(y > 0, y, 0.5),
         phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
-        simulate=lambda rng, mu, phi, w: rng.poisson(w * mu) / w,
+        simulate=_poisson_simulate,
         event_counts=lambda y, w: np.rint(y * w),
     ),
     "binomial": Family(

@@ -23,6 +23,8 @@ from .numerics import (
 )
 from .posterior import GridPosterior, LaplacePosterior
 
+MIN_MIXTURE_SAMPLES = 1000                      # fewest draws the mixture smoothing takes
+
 __all__ = [
     "TailReport",
     "wald_pvalue",
@@ -127,8 +129,8 @@ def pi_value_from_samples(samples: Sequence[float], beta0: float = 0.0,
                           method="posterior_empirical")
     if method != "mixture":
         raise DomainError("method must be 'empirical' or 'mixture'")
-    if n < 1000:
-        raise DomainError("mixture smoothing needs at least 1000 samples")
+    if n < MIN_MIXTURE_SAMPLES:
+        raise DomainError(f"mixture smoothing needs at least {MIN_MIXTURE_SAMPLES} samples")
     try:
         model = fit_gaussian_mixture_1d(x - beta0, stream=stream)
     except DegeneracyError:

@@ -153,8 +153,8 @@ class RngStream:
     """Counter-based random stream: (seed, stream_id) -> reproducible Generator.
 
     Distinct stream_ids under the same seed are statistically independent
-    (Philox keyed streams), so parallel replicates can each own a stream and
-    the combined run stays deterministic regardless of scheduling.
+    (Philox keyed streams). The replication harness gives each purpose a child
+    stream and draws its rows in replicate order, so replicate r is the same at any n_sim.
     """
 
     seed: int

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     BoundaryError,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -227,12 +227,20 @@ class TranslationKernel:
                 raise DomainError("inflation multipliers must be > 0")
 
     def apply(self, beta, phi, sigma_diag, rng):
+        """Translate beta (..., p) and phi (...), one row per replicate.
+
+        The noise is one standard-normal row of p + 1 per replicate (beta's
+        p, then phi's), so a row's translation does not depend on the rows after it.
+        """
+        if self.kind == "exact" and self.scale_kind == "exact":
+            return beta, phi
+        z = rng.standard_normal(beta.shape[:-1] + (beta.shape[-1] + 1,))
         if self.kind == "gaussian":
-            bias = np.zeros_like(beta) if self.bias is None else np.asarray(self.bias, dtype=float)
-            infl = np.ones_like(beta) if self.inflation is None else np.asarray(self.inflation, dtype=float)
-            beta = beta + bias + infl * np.sqrt(sigma_diag) * rng.standard_normal(beta.size)
+            bias = 0.0 if self.bias is None else np.asarray(self.bias, dtype=float)
+            infl = 1.0 if self.inflation is None else np.asarray(self.inflation, dtype=float)
+            beta = beta + bias + infl * np.sqrt(sigma_diag) * z[..., :-1]
         if self.scale_kind == "lognormal":
-            phi = phi * math.exp(self.scale_sd * rng.standard_normal())
+            phi = phi * np.exp(self.scale_sd * z[..., -1])
         return beta, phi
 
 
@@ -280,41 +288,36 @@ def _bayes_priors(tag, p):
     raise DomainError(f"unknown analysis {tag!r}")
 
 
-def _simulate_replicate(r, family, link, data, beta_hat, cov_u, scale_marginal,
-                        config: ReplicationConfig, chol):
-    """Draw replicate r's generating parameters and response from stream r + 1.
+def _simulate(family, link, data: ModelData, initial: FitResult, config: ReplicationConfig):
+    """Draw every replicate's generating parameters and response as arrays.
 
-    The response is drawn around the means of the fitted link. Returns the
-    record and the simulated response, or None in its place when the
-    replicate fails before any analysis.
+    Each purpose fills one row per replicate, in replicate order, from its own
+    child stream of the seed: phi_g (1), beta_init (2), the kernel noise (3)
+    and the responses (4), drawn around the means of the fitted link, so
+    replicate r does not depend on n_sim. Returns beta_g (R, p), phi_g (R,),
+    the responses (R, n) and the failure reasons ("" for none).
     """
-    rng = config.seed.child(r + 1).generator()
-    record = {"replicate": r, "failed": False, "failure_reason": ""}
-    phi_init = 1.0
-    if scale_marginal is not None:
-        phi_init = float(scale_marginal.dof * scale_marginal.scale / rng.chisquare(scale_marginal.dof))
-    beta_init = beta_hat + math.sqrt(phi_init) * (chol @ rng.standard_normal(len(beta_hat)))
-    sigma_diag = phi_init * np.diag(cov_u)
-    beta_g, phi_g = config.kernel.apply(beta_init, phi_init, sigma_diag, rng)
-    record["beta_g"] = beta_g
-    record["phi_g"] = phi_g
-    mu = link.ginv(data.X @ beta_g + data.offset)
-    if not family.in_domain(mu).all():
-        return _fail(record, "mean outside family domain"), None
-    try:
-        y = family.simulate(rng, mu, phi_g, data.weights)
-    except ValueError:
-        return _fail(record, "simulation overflow"), None
-    if family.event_counts is not None \
-            and np.any(family.event_counts(y, data.weights) < config.min_events_guard):
-        return _fail(record, "too few events"), None
-    return record, y
-
-
-def _fail(record, reason):
-    record["failed"] = True
-    record["failure_reason"] = reason
-    return record
+    n_sim, seed, cov_u = config.n_sim, config.seed, initial.cov_unscaled
+    phi_init = np.ones(n_sim)
+    if not family.known_scale:
+        dof = config.scale_dof if config.scale_dof is not None else initial.n - initial.p
+        phi_init = ScaleMarginal.from_deviance(initial.deviance, dof).sample(n_sim, seed.child(1))
+    z = seed.child(2).generator().standard_normal((n_sim, data.p))
+    beta_init = initial.beta_hat + np.sqrt(phi_init)[:, None] * (z @ np.linalg.cholesky(cov_u).T)
+    beta_g, phi_g = config.kernel.apply(beta_init, phi_init, phi_init[:, None] * np.diag(cov_u),
+                                        seed.child(3).generator())
+    mu = link.ginv(beta_g @ data.X.T + data.offset)
+    in_domain = family.in_domain(mu).all(axis=1)
+    y = np.full(mu.shape, np.nan)
+    y[in_domain] = family.simulate(seed.child(4).generator(), mu[in_domain],
+                                   phi_g[in_domain, None], data.weights)
+    reasons = np.full(n_sim, "", dtype=object)
+    if family.event_counts is not None:
+        events = family.event_counts(y, data.weights)
+        reasons[(events < config.min_events_guard).any(axis=1)] = "too few events"
+    reasons[~np.isfinite(y).all(axis=1)] = "simulation overflow"
+    reasons[~in_domain] = "mean outside family domain"
+    return beta_g, phi_g, y, reasons
 
 
 def _ml_failure_reasons(bf) -> np.ndarray:
@@ -332,70 +335,56 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     initial posterior, translate, simulate replicate data on the initial
     design, re-run each configured analysis, and summarize.
 
-    Every replicate is simulated first, replicate r from stream id r + 1, so
-    the result is deterministic given the config's seed. Each analysis then
-    runs as one block: the ML analysis fits every simulated replicate in one
-    ``fit_irls_batch`` call and takes their Wald p-values from
+    Every replicate is simulated first, as arrays with one child stream of the
+    config's seed per purpose (see ``_simulate``), so the result is
+    deterministic given the seed and replicate r is the same at any n_sim.
+    Each analysis then runs as one block: the ML analysis fits every simulated
+    replicate in one ``fit_irls_batch`` call and takes their Wald p-values from
     ``two_sided_tail``; each Bayes analysis takes the grid pi-value of every
     replicate that the ML analysis kept. Failed replicates are flagged with a
     reason ("mean outside family domain" when the link maps the generating
-    coefficients off the family's means, "simulation overflow", "too few
-    events", "fit error" when IRLS took no step, "boundary",
-    "non-convergence") and excluded from summaries; the excluded fraction is
-    reported.
+    coefficients off the family's means, "simulation overflow" when the
+    sampler cannot draw a response, "too few events", "fit error" when IRLS
+    took no step, "boundary", "non-convergence") and excluded from summaries;
+    the excluded fraction is reported.
     """
     family, link = _resolve(family, link)
     if initial.boundary or not initial.converged:
         raise BoundaryError("replication harness needs a converged interior fit")
     if not -data.p <= config.target_index < data.p:
         raise DomainError(f"target_index {config.target_index} out of range for p = {data.p}")
-    beta_hat = initial.beta_hat
-    cov_u = initial.cov_unscaled
-    scale_marginal = None
-    if not family.known_scale:
-        dof = config.scale_dof if config.scale_dof is not None else initial.n - initial.p
-        scale_marginal = ScaleMarginal.from_deviance(initial.deviance, dof)
-    chol = np.linalg.cholesky(cov_u)
-    records, kept, ys = [], [], []
-    for r in range(config.n_sim):
-        record, y = _simulate_replicate(r, family, link, data, beta_hat, cov_u,
-                                        scale_marginal, config, chol)
-        records.append(record)
-        if y is not None:
-            kept.append(record)
-            ys.append(y)
-    if "ml" in config.analyses and ys:
-        bf = fit_irls_batch(family, link, np.array(ys), data.X, data.offset, data.weights)
-        reasons = _ml_failure_reasons(bf)
-        ok = np.flatnonzero(reasons == "")
-        phi = np.ones(len(ys)) if family.known_scale else bf.deviance / (data.n - data.p)
-        ml_p = two_sided_tail(bf.beta_hat[ok], np.sqrt(
+    beta_g, phi_g, y, reasons = _simulate(family, link, data, initial, config)
+    kept = np.flatnonzero(reasons == "")
+    results = {}                                    # per kept replicate, in the order of kept
+    if "ml" in config.analyses and kept.size:
+        bf = fit_irls_batch(family, link, y[kept], data.X, data.offset, data.weights)
+        reasons[kept] = _ml_failure_reasons(bf)
+        ok = reasons[kept] == ""
+        phi = np.ones(kept.size) if family.known_scale else bf.deviance / (data.n - data.p)
+        results["ml_estimates"] = bf.beta_hat[ok]
+        results["ml_p"] = two_sided_tail(bf.beta_hat[ok], np.sqrt(
             phi[ok, None] * np.diagonal(bf.cov_unscaled[ok], axis1=1, axis2=2)))
-        for record, reason in zip(kept, reasons):
-            if reason:
-                _fail(record, reason)
-        for i, p in zip(ok, ml_p):
-            kept[i]["ml_estimates"] = bf.beta_hat[i]
-            kept[i]["ml_p"] = p
-        kept, ys = [kept[i] for i in ok], [ys[i] for i in ok]
+        kept = kept[ok]
+    if not kept.size:
+        raise HarnessError("every replicate failed")
     bayes = [_bayes_priors(tag, data.p) for tag in config.analyses if tag != "ml"]
-    se = np.sqrt(np.diag(cov_u))
-    bounds = [(b - 8.0 * s, b + 8.0 * s) for b, s in zip(beta_hat, se)]
+    bounds = [(b - 8.0 * s, b + 8.0 * s) for b, s in zip(initial.beta_hat, initial.se())]
+    j = config.target_index
     for key, priors in bayes:
-        for record, y in zip(kept, ys):
-            ll = vectorized_loglik(family, link, ModelData(y=y, X=data.X, offset=data.offset,
+        pis = results[f"{key}_pi"] = []
+        for i in kept:
+            ll = vectorized_loglik(family, link, ModelData(y=y[i], X=data.X, offset=data.offset,
                                                            weights=data.weights))
             gp = grid_posterior(ll, priors, bounds, resolution=config.bayes_resolution)
-            record[f"{key}_pi"] = (pi_value_from_grid(gp, config.target_index).p_or_pi
-                                   if gp.proper else None)
-    good = [rec for rec in records if not rec["failed"]]
-    if not good:
-        raise HarnessError("every replicate failed")
-    j = config.target_index
-    summaries = {"fraction_failed": 1.0 - len(good) / len(records)}
+            pis.append(pi_value_from_grid(gp, j).p_or_pi if gp.proper else None)
+    records = [{"replicate": r, "failed": bool(reasons[r]), "failure_reason": reasons[r],
+                "beta_g": beta_g[r], "phi_g": phi_g[r]} for r in range(config.n_sim)]
+    for k, i in enumerate(kept):
+        records[i].update((name, values[k]) for name, values in results.items())
+    summaries = {"fraction_failed": 1.0 - kept.size / config.n_sim}
     if "ml" in config.analyses:
-        est = np.array([rec["ml_estimates"] for rec in good])
-        pvals = np.array([rec["ml_p"][j] for rec in good])
+        est = results["ml_estimates"]
+        pvals = results["ml_p"][:, j]
         logs = -np.log10(np.maximum(pvals, 1e-300))
         summaries.update({
             "ml_mean": est.mean(axis=0),
@@ -407,7 +396,7 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
             "fraction_p_below_0.05": float(np.mean(pvals < 0.05)),
         })
     for key, _ in bayes:
-        pis = [rec[f"{key}_pi"] for rec in good if rec[f"{key}_pi"] is not None]
+        pis = [pi for pi in results[f"{key}_pi"] if pi is not None]
         if pis:
             summaries[f"{key}_pi_median"] = float(np.median(pis))
     return ReplicationReport(records, summaries, config)

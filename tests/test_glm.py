@@ -261,15 +261,28 @@ class TestFamilySimulate:
     def test_moments_match_mean_and_variance_function(self, family, mu, phi, weights):
         fam = FAMILIES[family]
         m = 100_000
-        mu_all, w_all = np.repeat(mu, m), np.repeat(weights, m)
-        y = fam.simulate(np.random.default_rng(19), mu_all, phi, w_all)
-        for g, (mu_g, w_g) in enumerate(zip(mu, weights)):
-            yg = y[g * m:(g + 1) * m]
-            var = phi * float(fam.variance(np.array(mu_g))) / w_g
-            assert abs(yg.mean() - mu_g) < 5.0 * math.sqrt(var / m)
-            m4 = np.mean((yg - yg.mean()) ** 4)
-            s2 = yg.var(ddof=1)
-            assert abs(s2 - var) < 5.0 * math.sqrt((m4 - s2 ** 2) / m)
+        flat = fam.simulate(np.random.default_rng(19), np.repeat(mu, m), phi,
+                            np.repeat(weights, m)).reshape(2, m)
+        # replicates as rows: an (m, 2) mean array with an (m, 1) scale
+        rows = fam.simulate(np.random.default_rng(19), np.tile(mu, (m, 1)), np.full((m, 1), phi),
+                            np.array(weights))
+        for y in (flat, rows.T):
+            for yg, mu_g, w_g in zip(y, mu, weights):
+                var = phi * float(fam.variance(np.array(mu_g))) / w_g
+                assert abs(yg.mean() - mu_g) < 5.0 * math.sqrt(var / m)
+                m4 = np.mean((yg - yg.mean()) ** 4)
+                s2 = yg.var(ddof=1)
+                assert abs(s2 - var) < 5.0 * math.sqrt((m4 - s2 ** 2) / m)
+
+    def test_poisson_past_the_sampler_limit_is_nan(self):
+        # numpy's poisson sampler takes means up to about 9.22e18
+        mu = np.array([[3.0, 9.2e18], [9.3e18, np.inf]])
+        y = FAMILIES["poisson"].simulate(np.random.default_rng(0), mu, 1.0, np.ones(2))
+        assert np.isfinite(y[0]).all() and np.isnan(y[1]).all()
+        # the limit is on w mu, the count's mean
+        y = FAMILIES["poisson"].simulate(np.random.default_rng(0), mu[1, :1], 1.0,
+                                         np.array([1e-3]))
+        assert np.isfinite(y).all()
 
     def test_event_counts_only_for_discrete_families(self):
         y, w = np.array([0.25, 0.5]), np.array([4.0, 8.0])

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import piglm as pg
 from piglm import cli
 from piglm.cli import MAX_N_ITER, MAX_N_SIM, MAX_RESOLUTION, MIN_N_SIM, MIN_RESOLUTION, main
+from piglm.inference import MIN_MIXTURE_SAMPLES
 from piglm.io import format_float, to_json_text
 
 
@@ -268,8 +270,8 @@ _SIZED = [
                  id="rpd-resolution"),
     pytest.param(["priors", "--kind", "test_fixed_sigma", "--sigma", "1000", "--resolution"],
                  MIN_RESOLUTION, MAX_RESOLUTION, id="priors-resolution"),
-    pytest.param(["posterior", *_STUDY, "--method", "metropolis", "--n-iter"], 1, MAX_N_ITER,
-                 id="posterior-n-iter"),
+    pytest.param(["posterior", *_STUDY, "--method", "metropolis", "--n-iter"],
+                 MIN_MIXTURE_SAMPLES, MAX_N_ITER, id="posterior-n-iter"),
     pytest.param(["posterior", *_STUDY, "--method", "metropolis", "--burn-in"], 0, MAX_N_ITER,
                  id="posterior-burn-in"),
 ]
@@ -331,6 +333,32 @@ class TestImportFloor:
             hits = [n for n, line in enumerate(path.read_text().splitlines(), 1)
                     if re.search("integrate|optimize", line)]
             assert hits == [], f"{path.name}: lines {hits}"
+
+
+def _unused_imports(path):
+    """Module-level imports of ``path`` that its code never reads. Names in
+    ``__all__`` count as read, and so does every import of an ``__init__.py``
+    without one: its imports are the package's namespace."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    if exported:
+        read.update(*exported)
+    elif path.name == "__init__.py":
+        read.update(imported)
+    return {name: line for name, line in imported.items() if name not in read}
+
+
+def test_no_source_module_has_an_unused_import():
+    for path in sorted(pathlib.Path(pg.__file__).parent.glob("*.py")):
+        assert _unused_imports(path) == {}, path.name
 
 
 class TestFamilyDispatch:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,6 +210,21 @@ class TestKernel:
         assert draws[:, 0].mean() == pytest.approx(10.0, abs=0.1)
         assert draws[:, 1].std() == pytest.approx(2.0, rel=0.05)
 
+    def test_rows_are_replicates(self):
+        # beta (R, p), phi (R,): each row is translated on its own noise row
+        k = TranslationKernel(kind="gaussian", bias=np.array([10.0, 0.0]),
+                              inflation=np.array([1.0, 2.0]), scale_kind="lognormal",
+                              scale_sd=0.5)
+        beta, phi = k.apply(np.zeros((4000, 2)), np.ones(4000), np.ones((4000, 2)),
+                            np.random.default_rng(0))
+        assert beta.shape == (4000, 2) and phi.shape == (4000,)
+        assert beta[:, 0].mean() == pytest.approx(10.0, abs=0.1)
+        assert beta[:, 1].std() == pytest.approx(2.0, rel=0.05)
+        assert np.log(phi).std() == pytest.approx(0.5, rel=0.05)
+        head = k.apply(np.zeros((100, 2)), np.ones(100), np.ones((100, 2)),
+                       np.random.default_rng(0))
+        assert np.array_equal(head[0], beta[:100]) and np.array_equal(head[1], phi[:100])
+
     def test_validation(self):
         with pytest.raises(pg.DomainError):
             TranslationKernel(kind="bootstrap")
@@ -367,7 +383,7 @@ class TestHarness:
         def no_simulation(*args, **kwargs):
             raise RuntimeError("replicate simulated")
 
-        monkeypatch.setattr(replication, "_simulate_replicate", no_simulation)
+        monkeypatch.setattr(replication, "_simulate", no_simulation)
         for bad in (2, 5, -3):
             cfg = ReplicationConfig(n_sim=100, seed=pg.RngStream(4), analyses=analyses,
                                     target_index=bad)
@@ -431,24 +447,58 @@ class TestHarness:
         assert rep.summaries["fraction_failed"] == 0.0
 
     def test_generating_mean_outside_the_domain_has_its_own_reason(self):
-        # gamma/identity, shape 4: replicate 168 draws beta_g = (1.039, -1.046),
-        # so the treated arm's generating mean is -0.007
+        # gamma/identity, shape 4: replicate 89 draws beta_g = (1.242, -1.519),
+        # so the treated arm's generating mean is -0.276
         n, arm = 16, np.repeat([1.0, 0.0], 8)
         X = np.column_stack([np.ones(n), arm])
         data = ModelData(y=np.random.default_rng(4).gamma(4.0, (1.0 + arm) / 4.0), X=X)
         fit = fit_irls("gamma", "identity", data)
         rep = run_replication(fit, "gamma", "identity", data,
-                              ReplicationConfig(n_sim=200, seed=pg.RngStream(13)))
+                              ReplicationConfig(n_sim=200, seed=pg.RngStream(16)))
         failed = [r for r in rep.records if r["failed"]]
-        assert [r["replicate"] for r in failed] == [168]
+        assert [r["replicate"] for r in failed] == [89]
         assert failed[0]["failure_reason"] == "mean outside family domain"
-        assert failed[0]["beta_g"] == pytest.approx([1.0386, -1.0461], abs=1e-4)
-        # a mean inside the domain that the sampler cannot draw from is overflow
-        family, link = pg.glm.FAMILIES["poisson"], pg.glm.LINKS["log"]
-        record, y = replication._simulate_replicate(
-            0, family, link, data, np.array([70.0, 0.0]), np.zeros((2, 2)), None,
-            ReplicationConfig(n_sim=100, seed=pg.RngStream(1)), np.zeros((2, 2)))
-        assert y is None and record["failure_reason"] == "simulation overflow"
+        assert failed[0]["beta_g"] == pytest.approx([1.2423, -1.5188], abs=1e-4)
+        # a mean inside the domain that the sampler cannot draw from is overflow:
+        # e^70 is past numpy's poisson limit, so Family.simulate returns NaN
+        counts = ModelData(y=np.array([3.0, 5.0]), X=np.array([[1.0, 1.0], [1.0, 0.0]]))
+        far = dataclasses.replace(fit_irls("poisson", "log", counts),
+                                  beta_hat=np.array([70.0, 0.0]))
+        _, _, y, reasons = replication._simulate(
+            pg.glm.FAMILIES["poisson"], pg.glm.LINKS["log"], counts, far,
+            ReplicationConfig(n_sim=100, seed=pg.RngStream(1)))
+        assert np.isnan(y).all()
+        assert set(reasons) == {"simulation overflow"}
+
+    @pytest.mark.parametrize("family,link,kernel", [
+        ("poisson", "log", TranslationKernel()),
+        ("gamma", "log", TranslationKernel()),
+        ("gamma", "log", TranslationKernel(kind="gaussian", scale_kind="lognormal",
+                                           scale_sd=0.3)),
+    ])
+    def test_replicate_draws_do_not_depend_on_n_sim(self, trial_records, family, link,
+                                                    kernel):
+        # each purpose draws one row per replicate from its own stream, so the
+        # first 100 replicates of 300 are the replicates of a 100-replicate run
+        if family == "poisson":
+            # CREDENCE/dka: four in ten replicates have too few events
+            data, _ = pg.trial_model_data(trial_records, "CREDENCE", "dka")
+        else:
+            arm = np.repeat([1.0, 0.0], 8)
+            data = ModelData(y=np.random.default_rng(4).gamma(4.0, (1.0 + arm) / 4.0),
+                             X=np.column_stack([np.ones(16), arm]))
+        fit = fit_irls(family, link, data)
+        short, long = (run_replication(fit, family, link, data,
+                                       ReplicationConfig(n_sim=n_sim, seed=pg.RngStream(3),
+                                                         kernel=kernel)).records
+                       for n_sim in (100, 300))
+        assert any(r["failed"] for r in short) == (family == "poisson")
+        for a, b in zip(short, long):
+            assert a["failure_reason"] == b["failure_reason"]
+            assert np.array_equal(a["beta_g"], b["beta_g"]) and a["phi_g"] == b["phi_g"]
+            assert ("ml_estimates" in a) == ("ml_estimates" in b) == (not a["failed"])
+            if not a["failed"]:
+                assert np.array_equal(a["ml_estimates"], b["ml_estimates"])
 
     def test_unrelated_errors_propagate(self, credence_primary, monkeypatch):
         data, fit = credence_primary
