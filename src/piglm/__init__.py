@@ -30,7 +30,7 @@ from .glm import (
     scale_estimates,
     score,
 )
-from .numerics import MixtureModel1D, RngStream, fit_gaussian_mixture_1d, mixture_tail_pi
+from .numerics import MixtureModel1D, RngStream, fit_gaussian_mixture_1d, mixture_tails
 from .priors import (
     FiniteWorldBounds,
     PriorSpec,

@@ -21,14 +21,15 @@ from .decision import AnalystParams, ClientParams, evaluate_decision, evpi_pure,
 from .errors import BoundaryError, ConvergenceError, DomainError, MixingError, \
     ParseError, PiglmError, SupportError
 from .glm import fit_irls, likelihood_surface, quadraticity_diagnostic
-from .inference import MIN_MIXTURE_SAMPLES, pi_value_analytic, pi_value_from_grid, \
-    pi_value_from_samples, wald_pvalue
+from .inference import pi_value_analytic, pi_value_from_grid, pi_value_from_samples, \
+    wald_pvalue
 from .io import bundled_trials_path, emit_plot_csv, parse_trial_csv, to_json_text, \
     trial_model_data
-from .numerics import RngStream
+from .numerics import MIN_MIXTURE_SAMPLES, RngStream
 from .posterior import grid_posterior, laplace_posterior, rw_metropolis, vectorized_loglik
 from .priors import PriorSpec, local_uniformity_check, prior_pdf
-from .replication import ReplicationConfig, predictive_pi, rpd_curve, run_replication
+from .replication import MIN_N_SIM, ReplicationConfig, predictive_pi, rpd_curve, \
+    run_replication
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -42,7 +43,6 @@ EXIT_USAGE = 64
 # slope, the harness 100 replicates, and the metropolis pi-value's mixture 1000 draws.
 MIN_RESOLUTION = 2
 MAX_RESOLUTION = 2001
-MIN_N_SIM = 100
 MAX_N_SIM = 100_000
 MAX_N_ITER = 200_000
 

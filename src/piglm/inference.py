@@ -13,17 +13,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegeneracyError, DegreesOfFreedomError, DomainError
+from .errors import DegreesOfFreedomError, DomainError
 from .glm import FitResult
-from .numerics import (
-    RngStream,
-    fit_gaussian_mixture_1d,
-    mixture_tail_pi,
-    two_sided_tail,
-)
-from .posterior import GridPosterior, LaplacePosterior
-
-MIN_MIXTURE_SAMPLES = 1000                      # fewest draws the mixture smoothing takes
+from .numerics import RngStream, fit_gaussian_mixture_1d, mixture_tails, two_sided_tail
+from .posterior import GridPosterior, LaplacePosterior, _check_index
 
 __all__ = [
     "TailReport",
@@ -47,8 +40,11 @@ class TailReport:
     notes: str = ""
 
 
-def _two_sided(tail_low: float, tail_high: float) -> float:
-    return min(1.0, 2.0 * min(tail_low, tail_high))
+def _tail_report(lower: float, upper: float, z: float, method: str) -> TailReport:
+    """Report from the mass below beta0 and the mass at or above it: pi is
+    min(1, 2 min(lower, upper)) and the direction is the side of the larger mass."""
+    return TailReport(z=z, direction="negative" if lower > upper else "positive",
+                      p_or_pi=min(1.0, 2.0 * min(lower, upper)), method=method)
 
 
 def wald_pvalue(fit: FitResult, phi: float, index: int, beta0: float = 0.0,
@@ -58,8 +54,7 @@ def wald_pvalue(fit: FitResult, phi: float, index: int, beta0: float = 0.0,
     The reference law is the standard normal when ``dof`` is None and
     Student's t with ``dof`` degrees of freedom otherwise.
     """
-    if index >= fit.p:
-        raise DomainError("coefficient index out of range")
+    _check_index(index, fit.p)
     if dof is not None and dof <= 0:
         raise DegreesOfFreedomError("t reference needs dof > 0")
     se = math.sqrt(phi * fit.cov_unscaled[index, index])
@@ -78,6 +73,7 @@ def wald_pvalue(fit: FitResult, phi: float, index: int, beta0: float = 0.0,
 
 def pi_value_analytic(posterior: LaplacePosterior, index: int, beta0: float = 0.0) -> TailReport:
     """pi-value from a normal or Student-t marginal posterior."""
+    _check_index(index, posterior.p)
     mean = float(posterior.mean[index])
     scale = posterior.marginal_scale(index)
     z = (mean - beta0) / scale
@@ -94,15 +90,10 @@ def pi_value_from_grid(grid: GridPosterior, index: int, beta0: float = 0.0) -> T
     """pi-value from a grid posterior's marginal of parameter ``index``."""
     # each tail is summed on its own side; 1 - lower loses the upper tail's digits
     lower = grid.marginal_cdf_at(index, beta0)
-    pi = _two_sided(lower, grid.marginal_sf_at(index, beta0))
+    upper = grid.marginal_sf_at(index, beta0)
     mean, sd = grid.mean_sd(index)
     z = (mean - beta0) / sd if sd > 0 else 0.0
-    return TailReport(
-        z=z,
-        direction="negative" if lower > 0.5 else "positive",
-        p_or_pi=pi,
-        method="posterior_grid",
-    )
+    return _tail_report(lower, upper, z, "posterior_grid")
 
 
 def pi_value_from_samples(samples: Sequence[float], beta0: float = 0.0,
@@ -110,35 +101,26 @@ def pi_value_from_samples(samples: Sequence[float], beta0: float = 0.0,
                           stream: Optional[RngStream] = None) -> TailReport:
     """pi-value from posterior draws.
 
-    'empirical' counts tail fractions (floor 2/N); 'mixture' smooths the draws
-    with a Gaussian mixture first, so extreme tails do not underflow to zero;
-    identical draws (``DegeneracyError``) fall back to the empirical value.
+    'empirical' counts tail fractions (floor 1/N each, so pi >= 2/N);
+    'mixture' smooths the draws with a Gaussian mixture first, so extreme
+    tails do not underflow to zero. The mixture needs at least
+    ``numerics.MIN_MIXTURE_SAMPLES`` draws (else ``DomainError``), not all
+    equal (else ``DegeneracyError``).
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
     if n == 0:
         raise DomainError("no samples")
-    frac_ge = float(np.mean(x >= beta0))
-    frac_lt = 1.0 - frac_ge
-    direction = "positive" if frac_ge >= frac_lt else "negative"
     z = (float(x.mean()) - beta0) / float(x.std()) if x.std() > 0 else 0.0
-    floor = 1.0 / n
-    pi_emp = _two_sided(max(frac_lt, floor), max(frac_ge, floor))
     if method == "empirical":
-        return TailReport(z=z, direction=direction, p_or_pi=pi_emp,
-                          method="posterior_empirical")
+        frac_ge = float(np.mean(x >= beta0))
+        floor = 1.0 / n
+        return _tail_report(max(1.0 - frac_ge, floor), max(frac_ge, floor), z,
+                            "posterior_empirical")
     if method != "mixture":
         raise DomainError("method must be 'empirical' or 'mixture'")
-    if n < MIN_MIXTURE_SAMPLES:
-        raise DomainError(f"mixture smoothing needs at least {MIN_MIXTURE_SAMPLES} samples")
-    try:
-        model = fit_gaussian_mixture_1d(x - beta0, stream=stream)
-    except DegeneracyError:
-        return TailReport(z=z, direction=direction, p_or_pi=pi_emp,
-                          method="posterior_empirical",
-                          notes="mixture fit degenerate; fell back to empirical")
-    pi = min(1.0, mixture_tail_pi(model))
-    return TailReport(z=z, direction=direction, p_or_pi=pi, method="posterior_mixture")
+    lower, upper = mixture_tails(fit_gaussian_mixture_1d(x - beta0, stream=stream))
+    return _tail_report(lower, upper, z, "posterior_mixture")
 
 
 def direction_estimate(pi: float, direction: str) -> float:

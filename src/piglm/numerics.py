@@ -19,20 +19,21 @@ from .errors import DegeneracyError, DomainError
 __all__ = [
     "std_normal_cdf",
     "std_normal_logcdf",
-    "std_normal_logpdf",
     "std_normal_quantile",
     "student_t_cdf",
     "student_t_logpdf",
     "two_sided_tail",
     "exp_integral_gamma0",
-    "erfc_inverse",
     "gauss_legendre",
     "RngStream",
     "MixtureModel1D",
     "MixtureStage",
     "fit_gaussian_mixture_1d",
-    "mixture_tail_pi",
+    "MIN_MIXTURE_SAMPLES",
+    "mixture_tails",
 ]
+
+MIN_MIXTURE_SAMPLES = 1000                      # fewest draws the mixture fit takes
 
 
 def std_normal_cdf(x):
@@ -54,12 +55,6 @@ def std_normal_logcdf(x):
     if np.any(np.isnan(x)):
         raise DomainError("NaN passed to std_normal_logcdf")
     out = special.log_ndtr(x)
-    return out if out.ndim else float(out)
-
-
-def std_normal_logpdf(x):
-    x = np.asarray(x, dtype=float)
-    out = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
     return out if out.ndim else float(out)
 
 
@@ -119,18 +114,6 @@ def exp_integral_gamma0(x):
     if np.any(~(x > 0.0)):
         raise DomainError("exp_integral_gamma0 requires x > 0")
     out = special.exp1(x)
-    return out if out.ndim else float(out)
-
-
-def erfc_inverse(p):
-    """Inverse complementary error function on (0, 2).
-
-    Satisfies erfc(erfc_inverse(p)) = p; equals -Phi^{-1}(p/2)/sqrt(2).
-    """
-    p = np.asarray(p, dtype=float)
-    if np.any(~((p > 0.0) & (p < 2.0))):
-        raise DomainError("erfc_inverse requires 0 < p < 2")
-    out = special.erfcinv(p)
     return out if out.ndim else float(out)
 
 
@@ -229,8 +212,8 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
     gain its latest step. While its gains do not grow, such a start ends
     below the bar even at the cap, so it cannot change the fit chosen; the
     20-iteration warm-up and the 2-nat margin cover the early steps, where
-    gains can still grow. Returns (w, m, s, ll, iters, barred, ll_path) with
-    ll of shape (n_starts,); ll_path tracks start 0 only.
+    gains can still grow. Returns (w, m, s, ll, iters, barred), the last
+    three of shape (n_starts,).
     """
     n = x.size
     S = w.shape[0]
@@ -239,7 +222,6 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
     iters = np.zeros(S, dtype=int)
     active = np.ones(S, dtype=bool)
     barred = np.zeros(S, dtype=bool)
-    ll_path = []
     half_log_2pi = 0.5 * math.log(2.0 * math.pi)
     for it in range(1, max_iter + 1):
         idx = np.flatnonzero(active)
@@ -272,12 +254,10 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
             done |= lost
         ll[idx] = ll_new
         iters[idx] = it
-        if active[0]:
-            ll_path.append(float(ll[0]))
         active[idx[done]] = False
         if not active.any():
             break
-    return w, m, s, ll, iters, barred, ll_path
+    return w, m, s, ll, iters, barred
 
 
 def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
@@ -292,11 +272,13 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
     it cannot beat the best BIC so far. The component-sd floor is 1e-6 x
     sample sd to keep components from collapsing on a point. The scan over G
     stops once BIC worsens. The model's ``stages`` record every G tried; the
-    BIC of a G that lost is where its starts stopped.
+    BIC of a G that lost is where its starts stopped. Fewer than
+    ``MIN_MIXTURE_SAMPLES`` draws raise ``DomainError``; identical draws
+    raise ``DegeneracyError``.
     """
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 50:
-        raise DegeneracyError("need at least 50 samples for mixture fitting")
+    if x.size < MIN_MIXTURE_SAMPLES:
+        raise DomainError(f"mixture fitting needs at least {MIN_MIXTURE_SAMPLES} samples")
     if g_max < 1:
         raise DomainError("g_max must be >= 1")
     if x.min() == x.max():
@@ -322,7 +304,7 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
         S = len(means0)
         k_free = 3 * g - 1
         bar = (k_free * math.log(n) - best.bic) / 2.0
-        w, m, s, ll, iters, barred, _ = _em_batch(
+        w, m, s, ll, iters, barred = _em_batch(
             x, np.full((S, g), 1.0 / g), np.array(means0), np.array(sds0),
             tol, max_iter, sd_floor, bar=bar)
         i_best = int(np.argmax(ll))
@@ -339,11 +321,11 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
     return dataclasses.replace(best, stages=tuple(stages))
 
 
-def mixture_tail_pi(model: MixtureModel1D) -> float:
-    """Two-sided tail area sum_k w_k * 2 Phi(-|m_k|/s_k) from a fitted mixture.
+def mixture_tails(model: MixtureModel1D):
+    """Mixture mass below 0 and at or above 0: (sum w Phi(-m/s), sum w Phi(m/s)).
 
-    The component means are taken relative to the reference value (callers
-    subtract beta0 before fitting), matching the smoothed tail-area recipe
-    used for MCMC output.
+    Callers subtract the reference value beta0 before fitting, so 0 is beta0.
     """
-    return float(np.sum(model.weights * two_sided_tail(model.means, model.sds)))
+    z = model.means / model.sds
+    return (float(np.sum(model.weights * std_normal_cdf(-z))),
+            float(np.sum(model.weights * std_normal_cdf(z))))

@@ -188,8 +188,7 @@ class GridPosterior:
 
     def marginal(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
         """(grid, density) of the normalized marginal of parameter ``index``."""
-        if not -self.p <= index < self.p:
-            raise DomainError(f"parameter index {index} out of range for p = {self.p}")
+        _check_index(index, self.p)
         if not self.proper:
             raise SupportError("improper posterior: normalization withheld")
         return self.marginals[index]
@@ -232,6 +231,12 @@ class GridPosterior:
             h = ax[1] - ax[0]
             out[:, d] = ax[coords[d]] + rng.uniform(-0.5, 0.5, size=n) * h
         return out
+
+
+def _check_index(index: int, p: int) -> None:
+    """Parameter indices run over [-p, p), negative ones counting from the end."""
+    if not -p <= index < p:
+        raise DomainError(f"parameter index {index} out of range for p = {p}")
 
 
 def _mass_below(grid: np.ndarray, dens: np.ndarray, x0: float) -> float:

@@ -38,8 +38,10 @@ __all__ = [
     "rpd_moments",
     "rpd_curve",
     "run_replication",
+    "MIN_N_SIM",
 ]
 
+MIN_N_SIM = 100                                 # fewest replicates the harness runs
 LN10 = math.log(10.0)
 LN2 = math.log(2.0)
 _RPD_HALF_WIDTH = 30.0 * math.sqrt(2.0)
@@ -257,8 +259,8 @@ class ReplicationConfig:
     bayes_resolution: int = 201
 
     def __post_init__(self):
-        if self.n_sim < 100:
-            raise DomainError("n_sim must be >= 100")
+        if self.n_sim < MIN_N_SIM:
+            raise DomainError(f"n_sim must be >= {MIN_N_SIM}")
         if self.n_workers != 1:
             # replicates are fitted in one batch; the thread pool measured slower than serial
             raise DomainError("n_workers must be 1")

@@ -43,6 +43,12 @@ CASES.update({
                                      "--bounds", "-5,5", "--sigma-bounds", "1,20",
                                      "--interval", "-2,2"],
 })
+CASES.update({
+    f"posterior_metropolis_credence_{outcome}": ["posterior", "--method", "metropolis",
+                                                 "--n-iter", "2000", "--burn-in", "500",
+                                                 "--study", "CREDENCE", "--outcome", outcome]
+    for outcome in ("primary", "dka")
+})
 
 
 def _run(name, out_dir):

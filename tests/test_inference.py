@@ -136,12 +136,36 @@ class TestPiValue:
         assert rep.p_or_pi == pytest.approx(exact, rel=0.5)
         assert rep.p_or_pi < 2.0 / 5000        # below the empirical resolution
 
-    def test_mixture_degenerate_falls_back_to_empirical(self):
-        # the float std of these draws is 1.1e-16, not 0
-        rep = pi_value_from_samples(np.full(1000, 0.3), method="mixture")
-        assert rep.method == "posterior_empirical"
-        assert rep.notes == "mixture fit degenerate; fell back to empirical"
-        assert rep.p_or_pi == 2.0 / 1000
+    def test_mixture_identical_draws_raise(self):
+        # the float std of these draws is 1.1e-16, not 0; no other method stands in
+        with pytest.raises(pg.DegeneracyError):
+            pi_value_from_samples(np.full(1000, 0.3), method="mixture")
+
+    def test_mixture_pi_of_components_on_both_sides(self, rng, monkeypatch):
+        # half the mass on each side of beta0: pi = 1, and equal masses read 'positive'
+        model = pg.MixtureModel1D(np.array([0.5, 0.5]), np.array([-1.0, 1.0]),
+                                  np.ones(2), 0.0, 0.0, 0)
+        monkeypatch.setattr(pg.inference, "fit_gaussian_mixture_1d", lambda *a, **k: model)
+        rep = pi_value_from_samples(rng.normal(0.0, 1.0, 1000), method="mixture")
+        assert rep.p_or_pi == 1.0
+        assert rep.direction == "positive"
+
+    @pytest.mark.parametrize("n_low", [2000, 2800])
+    def test_mixture_pi_of_bimodal_draws(self, n_low):
+        # n_low draws from N(-1, 0.3^2) and 4000 - n_low from N(1, 0.3^2): the
+        # generating mixture's pi is 2 min(lower, upper), exact from its weights.
+        # The fitted tails estimate a tail fraction of 4000 draws, whose
+        # binomial sd bounds their Monte Carlo error
+        gen = np.random.default_rng(n_low)
+        x = np.concatenate([gen.normal(-1.0, 0.3, n_low), gen.normal(1.0, 0.3, 4000 - n_low)])
+        w = n_low / 4000
+        lower = w * stats.norm.cdf(1.0 / 0.3) + (1.0 - w) * stats.norm.cdf(-1.0 / 0.3)
+        exact = 2.0 * min(lower, 1.0 - lower)
+        mcse = 2.0 * math.sqrt(lower * (1.0 - lower) / 4000)
+        rep = pi_value_from_samples(x, method="mixture", stream=pg.RngStream(n_low, 1))
+        assert rep.method == "posterior_mixture"
+        assert abs(rep.p_or_pi - exact) < 3.0 * mcse
+        assert rep.direction == ("positive" if n_low == 2000 else "negative")
 
     def test_mixture_other_errors_propagate(self, rng, monkeypatch):
         def broken_fit(*args, **kwargs):
@@ -154,6 +178,27 @@ class TestPiValue:
     def test_no_samples(self):
         with pytest.raises(pg.DomainError):
             pi_value_from_samples([])
+
+
+@pytest.mark.parametrize("route", ["wald", "analytic", "grid"])
+def test_index_rule_on_every_pi_route(route, credence_primary):
+    # indices in [-p, p), negative ones counting from the end, as GridPosterior.marginal
+    data, fit = credence_primary
+    if route == "wald":
+        pi_of = lambda j: wald_pvalue(fit, 1.0, j)
+    elif route == "analytic":
+        post = pg.laplace_posterior(fit, None, "poisson").beta_posterior
+        pi_of = lambda j: pi_value_analytic(post, j)
+    else:
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
+        gp = pg.grid_posterior(pg.vectorized_loglik("poisson", "log", data), [None, None],
+                               bounds, resolution=101)
+        pi_of = lambda j: pi_value_from_grid(gp, j)
+    for j in (-3, 2):
+        with pytest.raises(pg.DomainError):
+            pi_of(j)
+    assert pi_of(-1) == pi_of(1)
+    assert pi_of(-2) == pi_of(0)
 
 
 class TestDirection:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import piglm as pg
 from piglm import cli
 from piglm.cli import MAX_N_ITER, MAX_N_SIM, MAX_RESOLUTION, MIN_N_SIM, MIN_RESOLUTION, main
-from piglm.inference import MIN_MIXTURE_SAMPLES
+from piglm.numerics import MIN_MIXTURE_SAMPLES
 from piglm.io import format_float, to_json_text
 
 

@@ -8,11 +8,9 @@ from scipy import stats
 import piglm as pg
 from piglm import numerics
 from piglm.numerics import (
-    erfc_inverse,
     exp_integral_gamma0,
     std_normal_cdf,
     std_normal_logcdf,
-    std_normal_logpdf,
     std_normal_quantile,
     student_t_cdf,
     student_t_logpdf,
@@ -33,7 +31,7 @@ class TestNormal:
     def test_far_tail_keeps_relative_precision(self):
         # oracle: asymptotic expansion Phi(-x) ~ phi(x)/x * (1 - 1/x^2 + 3/x^4)
         x = 37.0
-        lead = math.exp(std_normal_logpdf(x)) / x
+        lead = math.exp(stats.norm.logpdf(x)) / x
         asym = lead * (1.0 - 1.0 / x**2 + 3.0 / x**4)
         val = std_normal_cdf(-x)
         assert val > 0.0
@@ -52,7 +50,7 @@ class TestNormal:
     def test_logcdf_past_underflow(self):
         # log Phi(-x) from the same asymptotic series, where Phi(-x) itself is 0
         for x in (37.0, 40.0, 1e3):
-            lead = std_normal_logpdf(x) - math.log(x)
+            lead = stats.norm.logpdf(x) - math.log(x)
             asym = lead + math.log1p(-1.0 / x**2 + 3.0 / x**4 - 15.0 / x**6)
             assert std_normal_logcdf(-x) == pytest.approx(asym, rel=1e-12)
         assert std_normal_cdf(-40.0) == 0.0
@@ -125,22 +123,6 @@ class TestExpIntegral:
             exp_integral_gamma0(-1.0)
 
 
-class TestErfcInverse:
-    @given(st.floats(min_value=1e-10, max_value=2 - 1e-10))
-    @settings(max_examples=50, deadline=None)
-    def test_consistency_with_normal_quantile(self, p):
-        # erfcinv(p) = -Phi^{-1}(p/2)/sqrt(2)
-        assert erfc_inverse(p) == pytest.approx(
-            -std_normal_quantile(p / 2.0) / math.sqrt(2.0), rel=1e-9, abs=1e-12
-        )
-
-    def test_domain(self):
-        with pytest.raises(pg.DomainError):
-            erfc_inverse(0.0)
-        with pytest.raises(pg.DomainError):
-            erfc_inverse(2.0)
-
-
 class TestGaussLegendre:
     def test_exact_to_degree_2n_minus_1_and_read_only(self):
         nodes, weights = pg.numerics.gauss_legendre(32)
@@ -186,13 +168,22 @@ class TestMixture:
         assert model.weights == pytest.approx([0.6, 0.4], abs=0.05)
 
     def test_loglik_path_monotone(self, rng):
-        # one EM start from poor means: no iteration lowers the log likelihood
+        # one EM start from poor means, stopped after 1, 2, ..., k iterations:
+        # no iteration lowers the log likelihood
         x = np.concatenate([rng.normal(-1.0, 0.4, 800), rng.normal(1.0, 0.4, 800)])
-        *_, iters, _, path = numerics._em_batch(
-            x, np.full((1, 2), 0.5), np.array([[-0.1, 0.2]]), np.full((1, 2), 1.0),
-            1e-8, 500, 1e-6, bar=-math.inf)
-        assert len(path) == iters[0] > 10
-        assert all(b >= a - 1e-9 for a, b in zip(path, path[1:]))
+
+        def run(max_iter):
+            *_, ll, iters, _ = numerics._em_batch(
+                x, np.full((1, 2), 0.5), np.array([[-0.1, 0.2]]), np.full((1, 2), 1.0),
+                1e-8, max_iter, 1e-6, bar=-math.inf)
+            return ll[0], iters[0]
+
+        ll_end, k = run(500)
+        assert k > 10
+        path = [run(i) for i in range(1, k + 1)]
+        assert [i for _, i in path] == list(range(1, k + 1))
+        assert path[-1][0] == ll_end
+        assert all(b >= a - 1e-9 for (a, _), (b, _) in zip(path, path[1:]))
 
     def test_logpdf_matches_quadrature_mass(self, rng):
         from scipy import integrate
@@ -206,8 +197,24 @@ class TestMixture:
         x = rng.normal(2.0, 1.0, 4000)
         model = pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(1, 5))
         assert model.count == 1
-        expected = 2.0 * std_normal_cdf(-abs(model.means[0]) / model.sds[0])
-        assert pg.mixture_tail_pi(model) == pytest.approx(expected, rel=1e-12)
+        lower, upper = pg.mixture_tails(model)
+        z = model.means[0] / model.sds[0]
+        assert lower == pytest.approx(stats.norm.cdf(-z), rel=1e-12)
+        assert upper == pytest.approx(stats.norm.cdf(z), rel=1e-12)
+
+    def test_tails_of_components_on_both_sides(self):
+        # w = (1/2, 1/2), m = (-1, 1), s = 1: half the mass on each side, so
+        # pi = 1; summing two-sided tails per component gives 2 Phi(-1) = 0.317
+        model = pg.MixtureModel1D(np.array([0.5, 0.5]), np.array([-1.0, 1.0]),
+                                  np.ones(2), 0.0, 0.0, 0)
+        assert pg.mixture_tails(model) == (0.5, 0.5)
+        model = pg.MixtureModel1D(np.array([0.7, 0.3]), np.array([-1.0, 2.0]),
+                                  np.array([0.5, 1.5]), 0.0, 0.0, 0)
+        lower, upper = pg.mixture_tails(model)
+        assert lower == pytest.approx(0.7 * stats.norm.cdf(2.0) + 0.3 * stats.norm.cdf(-4.0 / 3.0),
+                                      rel=1e-14)
+        assert upper == pytest.approx(0.7 * stats.norm.sf(2.0) + 0.3 * stats.norm.sf(-4.0 / 3.0),
+                                      rel=1e-14)
 
     def test_single_component_closed_form_oracle(self, rng):
         x = rng.normal(0.7, 1.3, 3000)
@@ -238,9 +245,10 @@ class TestMixture:
 
     def test_degenerate_inputs(self):
         with pytest.raises(pg.DegeneracyError):
-            pg.fit_gaussian_mixture_1d(np.ones(500))
-        with pytest.raises(pg.DegeneracyError):
+            pg.fit_gaussian_mixture_1d(np.ones(numerics.MIN_MIXTURE_SAMPLES))
+        with pytest.raises(pg.DomainError):
             pg.fit_gaussian_mixture_1d(np.arange(10.0))
+        pg.fit_gaussian_mixture_1d(np.arange(float(numerics.MIN_MIXTURE_SAMPLES)), g_max=1)
 
 
 def _ar1(phi, n, seed):
