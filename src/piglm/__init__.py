@@ -47,6 +47,7 @@ from .posterior import (
     LaplaceResult,
     McmcChain,
     ScaleMarginal,
+    VectorizedLoglik,
     detect_impropriety,
     grid_posterior,
     laplace_posterior,

@@ -21,7 +21,16 @@ from .errors import (
     MixingError,
     SupportError,
 )
-from .glm import FitResult, ModelData, _grid_nodes, _loglik_points, _resolve, _resolve_family
+from .glm import (
+    Family,
+    FitResult,
+    LinkFn,
+    ModelData,
+    _loglik_grid,
+    _loglik_points,
+    _resolve,
+    _resolve_family,
+)
 from .numerics import RngStream, std_normal_cdf, student_t_cdf
 from .priors import PriorSpec, ScalePriorSpec, prior_logpdf
 
@@ -31,6 +40,7 @@ __all__ = [
     "LaplaceResult",
     "GridPosterior",
     "McmcChain",
+    "VectorizedLoglik",
     "laplace_posterior",
     "vectorized_loglik",
     "grid_posterior",
@@ -149,17 +159,33 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
     return LaplaceResult(beta_post, marginal, plugin, phi_map)
 
 
-def vectorized_loglik(family, link, data: ModelData, phi: float = 1.0) -> Callable:
-    """Log likelihood accepting an (m, p) array of coefficient vectors.
+@dataclasses.dataclass(frozen=True)
+class VectorizedLoglik:
+    """Log likelihood of one model at many coefficient vectors.
 
-    Points whose means leave the family domain get -inf.
+    Calling it on an (m, p) array gives the m values; ``grid`` gives the
+    values at every node of a rectangular grid. Points whose means leave the
+    family domain get -inf.
     """
+
+    family: Family
+    link: LinkFn
+    data: ModelData
+    phi: float = 1.0
+
+    def __call__(self, betas) -> np.ndarray:
+        return _loglik_points(self.family, self.link, self.data,
+                              np.atleast_2d(np.asarray(betas, dtype=float)), self.phi)
+
+    def grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Values at the nodes of the grid on ``axes``, shaped (len(axes[0]), len(axes[1]), ...)."""
+        return _loglik_grid(self.family, self.link, self.data, axes, self.phi)
+
+
+def vectorized_loglik(family, link, data: ModelData, phi: float = 1.0) -> VectorizedLoglik:
+    """Log likelihood of ``data`` under ``family`` and ``link`` at scale ``phi``."""
     family, link = _resolve(family, link)
-
-    def ll(betas: np.ndarray) -> np.ndarray:
-        return _loglik_points(family, link, data, np.atleast_2d(np.asarray(betas, dtype=float)), phi)
-
-    return ll
+    return VectorizedLoglik(family, link, data, phi)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,28 +293,31 @@ def _grid_tail_improper(axis: np.ndarray, log_marg: np.ndarray) -> bool:
     return False
 
 
-def grid_posterior(loglik: Callable, priors: Sequence[Optional[PriorSpec]],
+def grid_posterior(loglik: VectorizedLoglik, priors: Sequence[Optional[PriorSpec]],
                    bounds: Sequence[Tuple[float, float]], resolution: int = 801) -> GridPosterior:
     """Exact posterior on a rectangular grid under per-parameter priors.
 
-    ``loglik`` takes an (m, p) array of coefficient vectors; a ``None`` prior
-    entry means flat (constant) over the grid for that parameter. The grid is
-    exponentiated once and reduced once per axis to that axis's marginal; the
-    normalizer is the integral of axis 0's marginal. The result is marked
-    improper (and left unnormalized) when the marginal of any flat axis fails
-    the tail-decay test.
+    ``loglik`` comes from ``vectorized_loglik``, whose ``grid`` method gives
+    the log likelihood at every node; a ``None`` prior entry means flat
+    (constant) over the grid for that parameter. The grid is exponentiated
+    once and reduced once per axis to that axis's marginal; the normalizer is
+    the integral of axis 0's marginal. The result is marked improper (and left
+    unnormalized) when the marginal of any flat axis fails the tail-decay test.
     """
     p = len(bounds)
     if p > 3 or p < 1:
         raise DomainError("grid posterior supports 1 <= p <= 3")
     if len(priors) != p:
         raise DomainError("need one prior (or None) per parameter")
+    if not isinstance(loglik, VectorizedLoglik):
+        raise DomainError("grid posterior needs the log likelihood from vectorized_loglik, "
+                          f"not {type(loglik).__name__}")
     axes = tuple(np.linspace(lo, hi, resolution) for lo, hi in bounds)
-    logpost = np.asarray(loglik(_grid_nodes(axes)), dtype=float).reshape((resolution,) * p)
+    logpost = loglik.grid(axes)
     for i, spec in enumerate(priors):
         if spec is not None:
             lp = np.asarray(prior_logpdf(spec, axes[i]), dtype=float)
-            logpost = logpost + lp.reshape([resolution if j == i else 1 for j in range(p)])
+            logpost += lp.reshape([resolution if j == i else 1 for j in range(p)])
     if not np.any(np.isfinite(logpost)):
         raise SupportError("posterior is -inf everywhere on the grid")
     peak = np.max(logpost)
@@ -300,7 +329,7 @@ def grid_posterior(loglik: Callable, priors: Sequence[Optional[PriorSpec]],
     for i, ax in enumerate(axes):
         marg = dens
         for j in reversed([j for j in range(p) if j != i]):
-            marg = np.trapezoid(marg, axes[j], axis=j)
+            marg = _trapezoid(marg, axes[j], j)
         if priors[i] is None:
             with np.errstate(divide="ignore"):
                 improper = improper or _grid_tail_improper(ax, np.log(marg))
@@ -310,6 +339,15 @@ def grid_posterior(loglik: Callable, priors: Sequence[Optional[PriorSpec]],
         marginals.append((grid, marg))
     return GridPosterior(axes, logpost, peak + math.log(masses[0]), not improper,
                          tuple(marginals))
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.trapezoid(y, x, axis=axis)`` with its three temporaries formed in one."""
+    lead = (slice(None),) * axis
+    t = np.add(y[lead + (slice(1, None),)], y[lead + (slice(None, -1),)])
+    t *= np.diff(x).reshape([-1 if j == axis else 1 for j in range(y.ndim)])
+    t /= 2.0
+    return t.sum(axis)
 
 
 def detect_impropriety(marginal_loglik: Callable, direction: str = "both"):
@@ -414,7 +452,7 @@ def p_formula_density(fit: FitResult, family, link, data: ModelData,
         raise DomainError("p-formula density supports exactly two parameters")
     ll = vectorized_loglik(family, link, data, phi)
     g0, g1 = (np.asarray(g, dtype=float) for g in beta_grid)
-    ll_vals = ll(_grid_nodes((g0, g1))).reshape(len(g0), len(g1))
+    ll_vals = ll.grid((g0, g1))
     ll_hat = float(ll(fit.beta_hat[None, :])[0])
     info = np.linalg.inv(fit.cov_unscaled) / phi  # total information
     n, p = fit.n, fit.p

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import stats
 from scipy.integrate import cumulative_simpson
 
 import piglm as pg
-from piglm.glm import ModelData, fit_irls
+from piglm.glm import FAMILIES, LINKS, ModelData, _grid_nodes, _loglik_points, fit_irls
 from piglm.posterior import grid_posterior, laplace_posterior, rw_metropolis
 
 
@@ -213,6 +214,69 @@ class TestVectorizedLoglikOracle:
         np.testing.assert_allclose(single[f], ref[f], rtol=1e-13, atol=0.0)
 
 
+def _with_design(data, X):
+    return ModelData(y=data.y, X=X, offset=data.offset, weights=data.weights)
+
+
+def _zero_one_design(n, p):
+    """Rows cycling through every 0/1 pattern of p columns: row 0 touches no axis."""
+    return np.array([[float((i >> j) & 1) for j in range(p)] for i in range(n)])
+
+
+def _dense_design(X, p):
+    extra = np.random.default_rng(12).uniform(-1.0, 1.0, len(X))
+    return np.column_stack([X, extra])[:, :p]
+
+
+# Shapes that end on a partial slab: slabs of 16384 rows of 1 node, 20 rows of
+# 803 and 18 rows of 29 x 31 along axis 0, and 442 rows of 37 along axis 1 for
+# the rows that touch axes 1 and 2 only.
+_ORACLE_SHAPES = [(20001,), (129, 803), (23, 29, 31), (3, 803, 37)]
+
+
+class TestLoglikGridOracle:
+    """The grid form against the points kernel at every node of the grid."""
+
+    @staticmethod
+    def _both(family, link, data, phi, shape):
+        axes = [np.linspace(-0.9 + 0.1 * j, 1.1 - 0.2 * j, r) for j, r in enumerate(shape)]
+        got = pg.vectorized_loglik(family, link, data, phi).grid(axes)
+        ref = _loglik_points(FAMILIES[family], LINKS[link], data, _grid_nodes(axes), phi)
+        assert got.shape == shape
+        return got, ref.reshape(shape)
+
+    @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
+    @pytest.mark.parametrize("family", ["gaussian", "poisson", "binomial", "gamma"])
+    def test_zero_one_design_bit_for_bit(self, family, shape):
+        link, data, phi = _kernel_models()[family]
+        data = _with_design(data, _zero_one_design(data.n, len(shape)))
+        got, ref = self._both(family, link, data, phi, shape)
+        assert np.isfinite(ref).all()
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
+    @pytest.mark.parametrize("family", ["gaussian", "poisson", "binomial", "gamma"])
+    def test_dense_design(self, family, shape):
+        link, data, phi = _kernel_models()[family]
+        data = _with_design(data, _dense_design(data.X, len(shape)))
+        got, ref = self._both(family, link, data, phi, shape)
+        assert np.isfinite(ref).all()
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(803,), (129, 803)])
+    def test_mixed_domain_gives_the_same_minus_inf(self, shape):
+        data = ModelData(y=np.array([2.0, 9.0, 5.0, 3.0, 7.0, 0.0, 4.0, 6.0, 1.0, 8.0]),
+                         X=np.column_stack([np.ones(10), np.linspace(-1.0, 1.0, 10)])[:, :len(shape)])
+        axes = [np.linspace(-1.0, 8.0, shape[0]), np.linspace(-4.0, 6.0, 803)][:len(shape)]
+        got = pg.vectorized_loglik("poisson", "identity", data).grid(axes)
+        ref = _loglik_points(FAMILIES["poisson"], LINKS["identity"], data, _grid_nodes(axes),
+                             1.0).reshape(shape)
+        assert np.isneginf(ref).any() and np.isfinite(ref).any()
+        assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+        f = np.isfinite(ref)
+        np.testing.assert_allclose(got[f], ref[f], rtol=1e-13, atol=0.0)
+
+
 class TestGridPosterior:
     def test_matches_analytic_normal(self):
         # gaussian likelihood with flat prior: posterior is exactly normal
@@ -325,6 +389,24 @@ class TestGridPosterior:
     def test_dimension_limit(self):
         with pytest.raises(pg.DomainError):
             grid_posterior(lambda b: np.zeros(len(b)), [None] * 4, [(-1, 1)] * 4)
+
+    def test_plain_callable_refused(self):
+        with pytest.raises(pg.DomainError, match="vectorized_loglik"):
+            grid_posterior(lambda b: np.zeros(len(b)), [None], [(-1, 1)])
+
+    def test_peak_memory_of_an_801_grid(self, credence_primary):
+        # the log posterior, the density and one marginal temporary are grid-sized;
+        # the log likelihood is formed in slabs and each trapezoid in one temporary
+        data, fit = credence_primary
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        tracemalloc.start()
+        try:
+            grid_posterior(ll, [None, None], bounds, resolution=801)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * 801**2
 
 
 class TestImproprietyDetector:
