@@ -97,24 +97,33 @@ def cli():
     """GLM fits, pi-values, decision thresholds and replication analysis."""
 
 
+_seed_out = [
+    click.option("--seed", default=20260824, show_default=True),
+    click.option("--out", "out_path", type=click.Path(), default=None,
+                 help="Write the JSON result here (default: stdout)."),
+]
 _common = [
     click.option("--data", "data_path", type=click.Path(exists=True), default=None,
                  help="Trial CSV (defaults to the bundled SGLT2i dataset)."),
     click.option("--study", required=True),
     click.option("--outcome", required=True),
     click.option("--exposure-scale", default=1000.0, show_default=True),
-    click.option("--seed", default=20260824, show_default=True),
-    click.option("--out", "out_path", type=click.Path(), default=None,
-                 help="Write the JSON result here (default: stdout)."),
+    *_seed_out,
     click.option("--allow-boundary", is_flag=True,
                  help="Exit 0 and report values even for boundary fits."),
 ]
 
 
-def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _apply(options):
+    def decorate(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return decorate
+
+
+common_options = _apply(_common)
+seed_out_options = _apply(_seed_out)
 
 
 def _finish(payload, out_path, seed, flagged=False, allow=False):
@@ -248,8 +257,7 @@ def surface(data_path, study, outcome, exposure_scale, seed, out_path,
 @click.option("--alpha", default=1.0, show_default=True)
 @click.option("--utility", type=click.Choice(["linear", "log"]), default="linear",
               show_default=True)
-@click.option("--seed", default=20260824, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@seed_out_options
 def decide(epsilon, epsilon_loss, c, pi_val, analyst_capital, alpha, utility,
            seed, out_path):
     """Critical threshold, EVPI, and the act/sleep decision."""
@@ -271,8 +279,7 @@ def decide(epsilon, epsilon_loss, c, pi_val, analyst_capital, alpha, utility,
 
 @cli.command(name="predict-pi")
 @click.option("--pi", "pi_val", required=True, type=float)
-@click.option("--seed", default=20260824, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@seed_out_options
 def predict_pi_cmd(pi_val, seed, out_path):
     """Predictive replicate pi-value for an initial pi-value."""
     _finish({"pi_init": pi_val, "pi_rep": predictive_pi(pi_val)}, out_path, seed)
@@ -283,8 +290,7 @@ def predict_pi_cmd(pi_val, seed, out_path):
 @click.option("--cap", default=30.0, show_default=True)
 @click.option("--resolution", default=2001, show_default=True,
               type=click.IntRange(MIN_RESOLUTION, MAX_RESOLUTION))
-@click.option("--seed", default=20260824, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@seed_out_options
 @click.option("--curve-out", type=click.Path(), default=None,
               help="Write the (x, pdf, cdf) curve CSV here.")
 def rpd(pi_init, cap, resolution, seed, out_path, curve_out):
@@ -333,8 +339,7 @@ def replicate(data_path, study, outcome, exposure_scale, seed, out_path,
               help="Interval for the local-uniformity check and density grid.")
 @click.option("--resolution", default=1001, show_default=True,
               type=click.IntRange(MIN_RESOLUTION, MAX_RESOLUTION))
-@click.option("--seed", default=20260824, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@seed_out_options
 @click.option("--grid-out", type=click.Path(), default=None)
 def priors(kind, beta0, bounds, sigma, sigma_bounds, nu0, scale_s, interval,
            resolution, seed, out_path, grid_out):

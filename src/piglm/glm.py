@@ -407,14 +407,17 @@ def _resolve_family(family) -> Family:
         raise DomainError(f"unknown family {family!r}") from None
 
 
-def _resolve(family, link):
-    f = _resolve_family(family)
+def _resolve_link(link) -> LinkFn:
     if isinstance(link, LinkFn):
-        return f, link
+        return link
     try:
-        return f, LINKS[link]
+        return LINKS[link]
     except KeyError:
         raise DomainError(f"unknown link {link!r}") from None
+
+
+def _resolve(family, link):
+    return _resolve_family(family), _resolve_link(link)
 
 
 def _row_deviance(family: Family, y, mu, weights):

@@ -108,10 +108,6 @@ class ScaleMarginal:
         """The marginal at ``dof`` degrees of freedom with scale D/dof, which must follow the dof."""
         return cls(dof, deviance / dof)
 
-    @property
-    def mode(self) -> float:
-        return self.dof * self.scale / (self.dof + 2.0)
-
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
         rng = stream.generator()
         return self.dof * self.scale / rng.chisquare(self.dof, size=n)

@@ -1,22 +1,22 @@
 """Reference priors for GLM coefficients and the scale parameter.
 
-Six unnormalized prior shapes come in test/explore pairs: "test" priors are
-centered on a single reference coefficient value, "explore" priors spread that
-center uniformly over a finite interval (and are identically zero outside it).
-The sigma-uncertain variants mix the Gaussian kernel over a fixed-width or
-inverse-chi-square distributed prior sd. A flat hypercube prior and the two
-scale-parameter priors complete the set.
+Three kernels (a fixed-sd Gaussian, and the Gaussian mixed over a uniform or an
+inverse-chi-square prior sd) each give a "test" prior, centered on a single
+reference coefficient value and evaluated from the kernel's log density, and an
+"explore" prior, which spreads that center uniformly over a finite interval and
+is zero outside it. A flat hypercube prior and two scale priors complete the set.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, SupportError
+from .glm import _resolve_link
 from .numerics import (exp_integral_gamma0, gauss_legendre, std_normal_cdf, student_t_cdf,
                        student_t_logpdf)
 
@@ -30,17 +30,6 @@ __all__ = [
     "local_uniformity_check",
     "scale_prior_logpdf",
 ]
-
-KINDS = (
-    "flat_hypercube",
-    "test_fixed_sigma",
-    "explore_fixed_sigma",
-    "test_uniform_sigma",
-    "explore_uniform_sigma",
-    "test_invchisq",
-    "explore_invchisq",
-)
-
 
 @dataclasses.dataclass(frozen=True)
 class PriorSpec:
@@ -65,22 +54,12 @@ class PriorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown prior kind {self.kind!r}")
-        if self.kind in ("flat_hypercube", "explore_fixed_sigma",
-                         "explore_uniform_sigma", "explore_invchisq"):
-            if self.bounds is None or not self.bounds[0] < self.bounds[1]:
-                raise DomainError(f"{self.kind} needs ordered bounds")
-        if self.kind in ("test_fixed_sigma", "explore_fixed_sigma"):
-            if self.sigma is None or not self.sigma > 0:
-                raise DomainError(f"{self.kind} needs sigma > 0")
-        if self.kind in ("test_uniform_sigma", "explore_uniform_sigma"):
-            sb = self.sigma_bounds
-            if sb is None or not 0 < sb[0] < sb[1]:
-                raise DomainError(f"{self.kind} needs 0 < sigma_min < sigma_max")
-        if self.kind in ("test_invchisq", "explore_invchisq"):
-            if self.nu0 is None or not self.nu0 > 0:
-                raise DomainError(f"{self.kind} needs nu0 > 0")
-            if self.s is None or not self.s > 0:
-                raise DomainError(f"{self.kind} needs scale s > 0")
+        mode, _, suffix = self.kind.partition("_")
+        if mode != "test" and not (_is_pair(self.bounds) and self.bounds[0] < self.bounds[1]):
+            raise DomainError(f"{self.kind} needs ordered bounds")
+        kernel = _KERNELS.get(suffix)
+        if kernel is not None and not kernel.valid(self):
+            raise DomainError(f"{self.kind} needs {kernel.needs}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,7 +74,7 @@ class ScalePriorSpec:
             raise DomainError(f"unknown scale prior {self.kind!r}")
         if self.kind == "uniform_bounded":
             b = self.bounds
-            if b is None or not (0 <= b[0] < b[1]) or not math.isfinite(b[1]):
+            if not (_is_pair(b) and 0 <= b[0] < b[1] and math.isfinite(b[1])):
                 raise DomainError("uniform_bounded needs finite ordered bounds")
 
 
@@ -127,10 +106,7 @@ def finite_world_bounds(link, y_range: Tuple[float, float],
     parameter's interval follows by dividing through its covariate range
     (intervals of (1, 1) for the intercept). Covariate ranges must exclude 0.
     """
-    from .glm import LINKS, LinkFn
-
-    if not isinstance(link, LinkFn):
-        link = LINKS[link]
+    link = _resolve_link(link)
     y_lo, y_hi = y_range
     if not y_lo < y_hi:
         raise DomainError("y_range must be ordered")
@@ -194,53 +170,72 @@ def _explore_uniform_sigma(b, lo, hi, sigma_min, sigma_max):
     return (inner @ w) / (math.sqrt(math.pi) * (sigma_max - sigma_min))
 
 
-def _t_kernel(u, nu0, s):
-    return np.exp(student_t_logpdf(np.asarray(u, dtype=float), nu0, 0.0, s))
+def _is_pair(v) -> bool:
+    return v is not None and len(v) == 2
+
+
+@dataclasses.dataclass(frozen=True)
+class _Kernel:
+    """One prior kernel, shared by its test (centered) and explore (spread) kinds."""
+
+    valid: Callable[[PriorSpec], bool]  # checks the kernel's own PriorSpec fields
+    needs: str                          # what valid asks for, in its error message
+    logpdf: Callable[..., np.ndarray]   # (spec, u): centered log density at u = beta - beta0
+    explore: Callable[..., np.ndarray]  # (spec, b, lo, hi): exact integral over centers in [lo, hi]
+
+
+_KERNELS = {
+    "fixed_sigma": _Kernel(
+        valid=lambda sp: sp.sigma is not None and sp.sigma > 0,
+        needs="sigma > 0",
+        logpdf=lambda sp, u: (-0.5 * (u / sp.sigma) ** 2
+                              - math.log(sp.sigma * math.sqrt(2.0 * math.pi))),
+        explore=lambda sp, b, lo, hi: (std_normal_cdf((b - lo) / sp.sigma)
+                                       - std_normal_cdf((b - hi) / sp.sigma)),
+    ),
+    "uniform_sigma": _Kernel(
+        valid=lambda sp: _is_pair(sp.sigma_bounds) and 0 < sp.sigma_bounds[0] < sp.sigma_bounds[1],
+        needs="0 < sigma_min < sigma_max",
+        logpdf=lambda sp, u: np.log(_uniform_sigma_kernel(u, *sp.sigma_bounds)),
+        explore=lambda sp, b, lo, hi: _explore_uniform_sigma(b, lo, hi, *sp.sigma_bounds),
+    ),
+    "invchisq": _Kernel(
+        valid=lambda sp: sp.nu0 is not None and sp.nu0 > 0 and sp.s is not None and sp.s > 0,
+        needs="nu0 > 0 and scale s > 0",
+        logpdf=lambda sp, u: student_t_logpdf(u, sp.nu0, 0.0, sp.s),
+        explore=lambda sp, b, lo, hi: (student_t_cdf((b - lo) / sp.s, sp.nu0)
+                                       - student_t_cdf((b - hi) / sp.s, sp.nu0)),
+    ),
+}
+
+KINDS = ("flat_hypercube",) + tuple(f"{mode}_{suffix}" for suffix in _KERNELS
+                                    for mode in ("test", "explore"))
+
+
+def _evaluate(spec: PriorSpec, beta, log: bool):
+    """The prior density at beta, or its log; test kinds start from the kernel's log density."""
+    b = np.atleast_1d(np.asarray(beta, dtype=float))
+    mode, _, suffix = spec.kind.partition("_")
+    with np.errstate(divide="ignore"):      # log 0 = -inf
+        if mode == "test":
+            out = _KERNELS[suffix].logpdf(spec, b - spec.beta0)
+            out = out if log else np.exp(out)
+        else:
+            lo, hi = spec.bounds
+            out = 1.0 / (hi - lo) if mode == "flat" else _KERNELS[suffix].explore(spec, b, lo, hi)
+            out = np.where((b >= lo) & (b <= hi), out, 0.0)
+            out = np.log(out) if log else out
+    return float(out[0]) if np.ndim(beta) == 0 else out
 
 
 def prior_pdf(spec: PriorSpec, beta):
     """Unnormalized prior density at beta (scalar or array)."""
-    b = np.asarray(beta, dtype=float)
-    scalar = b.ndim == 0
-    b = np.atleast_1d(b)
-    k = spec.kind
-    if k == "flat_hypercube":
-        lo, hi = spec.bounds
-        out = np.where((b >= lo) & (b <= hi), 1.0 / (hi - lo), 0.0)
-    elif k == "test_fixed_sigma":
-        out = np.exp(-0.5 * ((b - spec.beta0) / spec.sigma) ** 2) / (
-            spec.sigma * math.sqrt(2.0 * math.pi)
-        )
-    elif k == "explore_fixed_sigma":
-        lo, hi = spec.bounds
-        # exact integral of the Gaussian test kernel over the center bounds
-        out = std_normal_cdf((b - lo) / spec.sigma) - std_normal_cdf((b - hi) / spec.sigma)
-        out = np.where((b >= lo) & (b <= hi), out, 0.0)
-    elif k == "test_uniform_sigma":
-        out = _uniform_sigma_kernel(b - spec.beta0, *spec.sigma_bounds)
-    elif k == "explore_uniform_sigma":
-        lo, hi = spec.bounds
-        out = _explore_uniform_sigma(b, lo, hi, *spec.sigma_bounds)
-        out = np.where((b >= lo) & (b <= hi), out, 0.0)
-    elif k == "test_invchisq":
-        out = _t_kernel(b - spec.beta0, spec.nu0, spec.s)
-    elif k == "explore_invchisq":
-        lo, hi = spec.bounds
-        # exact integral of the Student-t test kernel over the center bounds
-        out = (student_t_cdf((b - lo) / spec.s, spec.nu0)
-               - student_t_cdf((b - hi) / spec.s, spec.nu0))
-        out = np.where((b >= lo) & (b <= hi), out, 0.0)
-    else:  # pragma: no cover
-        raise DomainError(k)
-    return float(out[0]) if scalar else out
+    return _evaluate(spec, beta, log=False)
 
 
 def prior_logpdf(spec: PriorSpec, beta):
-    """Log of prior_pdf; -inf outside explore/flat bounds."""
-    dens = prior_pdf(spec, beta)
-    with np.errstate(divide="ignore"):
-        out = np.log(dens)
-    return out
+    """Log of prior_pdf: the kernel's log density for test kinds; -inf outside other bounds."""
+    return _evaluate(spec, beta, log=True)
 
 
 def local_uniformity_check(spec: PriorSpec, interval: Tuple[float, float],

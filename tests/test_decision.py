@@ -66,6 +66,13 @@ class TestEvpi:
         analyst = AnalystParams(capital=100.0, alpha=5.0, utility="custom",
                                 utility_table=table)
         assert evpi_pure(analyst, 0.1) > 0.0
+        # PCHIP reproduces affine data exactly: U(x) = a + b x at uneven nodes
+        a, b, crit = 3.0, 0.5, 0.031105985257891162
+        affine = AnalystParams(capital=100.0, alpha=5.0, utility="custom",
+                               utility_table=[(x, a + b * x) for x in (80.0, 95.0, 100.0, 120.0)])
+        assert evpi_pure(affine, 0.1) == pytest.approx(b * 5.0 * 0.1, rel=1e-12)
+        assert recalibration_loss(affine, crit)["loss"] == pytest.approx(
+            b * 5.0 * crit / (a + b * (100.0 + 5.0)), rel=1e-12)
         with pytest.raises(pg.DomainError):
             evpi_pure(AnalystParams(capital=200.0, alpha=100.0, utility="custom",
                                     utility_table=table), 0.1)

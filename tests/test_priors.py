@@ -5,7 +5,8 @@ import pytest
 from scipy import integrate, stats
 
 import piglm as pg
-from piglm.priors import PriorSpec, ScalePriorSpec, _uniform_sigma_kernel, prior_pdf
+from piglm.priors import KINDS, PriorSpec, ScalePriorSpec, _uniform_sigma_kernel, \
+    prior_logpdf, prior_pdf
 
 
 class TestFiniteWorldBounds:
@@ -39,6 +40,10 @@ class TestFiniteWorldBounds:
     def test_y_range_outside_link_domain(self):
         with pytest.raises(pg.DomainError):
             pg.finite_world_bounds("log", (-1.0, 10.0), [(1.0, 1.0)], 1)
+
+    def test_unknown_link(self):
+        with pytest.raises(pg.DomainError, match="unknown link 'probit'"):
+            pg.finite_world_bounds("probit", (0.1, 0.9), [(1.0, 1.0)], 1)
 
 
 class TestKernels:
@@ -95,6 +100,36 @@ class TestKernels:
         assert prior_pdf(spec, 0.0) == pytest.approx(1.0 / 8.0)
         assert prior_pdf(spec, 7.0) == 0.0
         assert pg.prior_logpdf(spec, 7.0) == -np.inf
+
+
+class TestLogDensity:
+    """prior_logpdf against prior_pdf for every kind, and the test kinds' far tails."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_log_density_matches_density(self, kind):
+        # every field set: each kind reads its own and ignores the rest
+        spec = PriorSpec(kind, beta0=0.3, bounds=(-4.0, 4.0), sigma=1.5,
+                         sigma_bounds=(0.5, 2.0), nu0=2.5, s=1.3)
+        b = np.concatenate([np.linspace(-6.0, 6.0, 121), [-4.0, 4.0, 0.3]])
+        dens = prior_pdf(spec, b)
+        assert np.exp(prior_logpdf(spec, b)) == pytest.approx(dens, rel=1e-13, abs=0.0)
+        assert np.any(dens > 0.0)
+        assert prior_logpdf(spec, 0.3) == pytest.approx(math.log(prior_pdf(spec, 0.3)), rel=1e-13)
+
+    @pytest.mark.parametrize("u", [40.0, 1000.0])
+    def test_gaussian_far_tail(self, u):
+        # the density underflows to 0 from about 38.6 sd here; its log does not
+        spec = PriorSpec("test_fixed_sigma", beta0=0.7, sigma=2.5)
+        b = 0.7 + u * 2.5
+        ref = stats.norm.logpdf(b, loc=0.7, scale=2.5)
+        assert prior_logpdf(spec, b) == pytest.approx(ref, rel=1e-12)
+        assert prior_logpdf(spec, np.array([b]))[0] == pytest.approx(ref, rel=1e-12)
+
+    def test_student_far_tail(self):
+        spec = PriorSpec("test_invchisq", beta0=0.5, nu0=2.5, s=1.3)
+        b = 0.5 + 1e4 * 1.3
+        ref = stats.t.logpdf(b, 2.5, loc=0.5, scale=1.3)
+        assert prior_logpdf(spec, b) == pytest.approx(ref, rel=1e-12)
 
 
 def _center_convolution_by_quad(kernel, b, lo, hi):
@@ -180,6 +215,8 @@ class TestScalePrior:
         with pytest.raises(pg.DomainError):
             ScalePriorSpec("uniform_bounded")
         with pytest.raises(pg.DomainError):
+            ScalePriorSpec("uniform_bounded", bounds=(1.0,))
+        with pytest.raises(pg.DomainError):
             pg.scale_prior_logpdf(ScalePriorSpec("jeffreys"), 0.0)
 
 
@@ -195,3 +232,7 @@ class TestSpecValidation:
             PriorSpec("explore_invchisq", nu0=1.0, s=1.0)       # no bounds
         with pytest.raises(pg.DomainError):
             PriorSpec("test_uniform_sigma", sigma_bounds=(2.0, 1.0))
+        with pytest.raises(pg.DomainError):
+            PriorSpec("explore_fixed_sigma", bounds=(1.0,), sigma=1.0)
+        with pytest.raises(pg.DomainError):
+            PriorSpec("test_uniform_sigma", sigma_bounds=(1.0,))
