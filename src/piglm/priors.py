@@ -14,11 +14,11 @@ import math
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, SupportError
 from .glm import _resolve_link
-from .numerics import (exp_integral_gamma0, gauss_legendre, std_normal_cdf, student_t_cdf,
-                       student_t_logpdf)
+from .numerics import gauss_legendre, std_normal_cdf, student_t_cdf, student_t_logpdf
 
 __all__ = [
     "PriorSpec",
@@ -132,22 +132,21 @@ def finite_world_bounds(link, y_range: Tuple[float, float],
 
 # Printed normalization of the sigma-mixture prior; the footnote patch value at
 # beta = beta0 is log(sigma_max/sigma_min) / (sqrt(2) pi (sigma_max - sigma_min)).
-def _uniform_sigma_kernel(u, sigma_min, sigma_max):
-    """Density of the sigma-mixture at distance u from the center (u != 0 safe)."""
+def _uniform_sigma_logpdf(u, sigma_min, sigma_max):
+    """Log density of the sigma-mixture at distance u from the center.
+
+    The density is (E1(a) - E1(b)) / (2 sqrt(2) pi (sigma_max - sigma_min)) with
+    a = u^2/(2 sigma_max^2) < b = u^2/(2 sigma_min^2). The difference is taken
+    in log space from log E1(x) = log U(1, 1, x) - x, so it keeps its relative
+    precision far past the underflow of the density.
+    """
     u = np.asarray(u, dtype=float)
-    const = 2.0 * math.sqrt(2.0) * math.pi * (sigma_max - sigma_min)
-    out = np.empty_like(u)
-    at0 = u == 0.0
-    if np.any(~at0):
-        x = u[~at0] ** 2
-        out[~at0] = (
-            exp_integral_gamma0(x / (2.0 * sigma_max**2))
-            - exp_integral_gamma0(x / (2.0 * sigma_min**2))
-        ) / const
-    if np.any(at0):
-        out[at0] = math.log(sigma_max / sigma_min) / (
-            math.sqrt(2.0) * math.pi * (sigma_max - sigma_min)
-        )
+    log_c = math.log(math.sqrt(2.0) * math.pi * (sigma_max - sigma_min))
+    out = np.full(u.shape, math.log(math.log(sigma_max / sigma_min)) - log_c)
+    off = u != 0.0
+    x = u[off] ** 2 / 2.0
+    la, lb = (np.log(special.hyperu(1.0, 1.0, x / s**2)) - x / s**2 for s in (sigma_max, sigma_min))
+    out[off] = la + np.log1p(-np.exp(lb - la)) - math.log(2.0) - log_c
     return out
 
 
@@ -196,7 +195,7 @@ _KERNELS = {
     "uniform_sigma": _Kernel(
         valid=lambda sp: _is_pair(sp.sigma_bounds) and 0 < sp.sigma_bounds[0] < sp.sigma_bounds[1],
         needs="0 < sigma_min < sigma_max",
-        logpdf=lambda sp, u: np.log(_uniform_sigma_kernel(u, *sp.sigma_bounds)),
+        logpdf=lambda sp, u: _uniform_sigma_logpdf(u, *sp.sigma_bounds),
         explore=lambda sp, b, lo, hi: _explore_uniform_sigma(b, lo, hi, *sp.sigma_bounds),
     ),
     "invchisq": _Kernel(

@@ -10,6 +10,7 @@ density of the replicate -log10 p follows in closed form.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from typing import Optional
@@ -22,8 +23,8 @@ from .glm import FitResult, ModelData, _resolve, fit_irls_batch
 from .inference import pi_value_from_grid
 from .numerics import (RngStream, gauss_legendre, std_normal_cdf, std_normal_logcdf,
                        std_normal_quantile, two_sided_tail)
-from .posterior import LaplacePosterior, ScaleMarginal, grid_posterior, vectorized_loglik
-from .priors import PriorSpec
+from .posterior import LaplacePosterior, grid_posterior, laplace_posterior, vectorized_loglik
+from .priors import PriorSpec, ScalePriorSpec
 
 __all__ = [
     "TranslationKernel",
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 MIN_N_SIM = 100                                 # fewest replicates the harness runs
+BAYES_RESOLUTION = 201                          # grid nodes per axis of a replicate's Bayes pi
 LN10 = math.log(10.0)
 LN2 = math.log(2.0)
 _RPD_HALF_WIDTH = 30.0 * math.sqrt(2.0)
@@ -208,25 +210,20 @@ def rpd_curve(pi_init: float, cap: float = 30.0, resolution: int = 2001) -> RpdC
 class TranslationKernel:
     """Maps the initial study's generating parameters to the replicate's.
 
-    'exact' passes (beta, phi) through unchanged. 'gaussian' draws
-    beta_g ~ N(beta_init + bias, diag(inflation_j^2 * Sigma_init,jj));
-    scale_kind 'lognormal' multiplies phi by exp(N(0, scale_sd^2)).
+    With no field set, (beta, phi) pass through. Given bias or inflation (0 and 1
+    when unset), beta_g ~ N(beta_init + bias, diag(inflation_j^2 * Sigma_init,jj));
+    scale_sd > 0 multiplies phi by exp(N(0, scale_sd^2)).
     """
 
-    kind: str = "exact"
     bias: Optional[np.ndarray] = None
     inflation: Optional[np.ndarray] = None
-    scale_kind: str = "exact"
     scale_sd: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("exact", "gaussian"):
-            raise DomainError("kernel kind must be 'exact' or 'gaussian'")
-        if self.scale_kind not in ("exact", "lognormal"):
-            raise DomainError("scale_kind must be 'exact' or 'lognormal'")
-        if self.kind == "gaussian" and self.inflation is not None:
-            if np.any(np.asarray(self.inflation) <= 0):
-                raise DomainError("inflation multipliers must be > 0")
+        if self.inflation is not None and np.any(np.asarray(self.inflation) <= 0):
+            raise DomainError("inflation multipliers must be > 0")
+        if not self.scale_sd >= 0.0:
+            raise DomainError("scale_sd must be >= 0")
 
     def apply(self, beta, phi, sigma_diag, rng):
         """Translate beta (..., p) and phi (...), one row per replicate.
@@ -234,14 +231,15 @@ class TranslationKernel:
         The noise is one standard-normal row of p + 1 per replicate (beta's
         p, then phi's), so a row's translation does not depend on the rows after it.
         """
-        if self.kind == "exact" and self.scale_kind == "exact":
+        moves_beta = self.bias is not None or self.inflation is not None
+        if not moves_beta and self.scale_sd == 0.0:
             return beta, phi
         z = rng.standard_normal(beta.shape[:-1] + (beta.shape[-1] + 1,))
-        if self.kind == "gaussian":
+        if moves_beta:
             bias = 0.0 if self.bias is None else np.asarray(self.bias, dtype=float)
             infl = 1.0 if self.inflation is None else np.asarray(self.inflation, dtype=float)
             beta = beta + bias + infl * np.sqrt(sigma_diag) * z[..., :-1]
-        if self.scale_kind == "lognormal":
+        if self.scale_sd > 0.0:
             phi = phi * np.exp(self.scale_sd * z[..., -1])
         return beta, phi
 
@@ -254,9 +252,8 @@ class ReplicationConfig:
     analyses: tuple = ("ml",)                       # 'ml', 'bayes_flat', ('bayes_student_t', df, scale)
     min_events_guard: int = 1
     target_index: int = -1                          # coefficient whose p/pi is summarized
-    scale_dof: Optional[int] = None                 # override for the scale-marginal dof
+    scale_prior: Optional[ScalePriorSpec] = None    # sets the phi marginal; None is jeffreys
     n_workers: int = 1                              # accepted only as 1; see __post_init__
-    bayes_resolution: int = 201
 
     def __post_init__(self):
         if self.n_sim < MIN_N_SIM:
@@ -268,7 +265,7 @@ class ReplicationConfig:
             raise DomainError("at least one analysis required")
         for tag in self.analyses:
             if tag != "ml":
-                _bayes_priors(tag, 1)       # raises on an unknown tag or a bad prior
+                _bayes_prior(tag)           # raises on an unknown tag or a bad prior
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,34 +273,31 @@ class ReplicationReport:
     records: list
     summaries: dict
     config: ReplicationConfig
+    failure_counts: dict                            # replicates per failure reason
 
 
-def _bayes_priors(tag, p):
-    """Summary key and per-parameter priors of a Bayes analysis tag; DomainError
-    for any other tag."""
+def _bayes_prior(tag):
+    """Summary key and target-coefficient prior (None: flat) of a Bayes analysis
+    tag; DomainError for any other tag."""
     if tag == "bayes_flat":
-        return tag, [None] * p
+        return tag, None
     if isinstance(tag, tuple) and len(tag) == 3 and tag[0] == "bayes_student_t":
-        specs = [None] * p
-        specs[-1] = PriorSpec("test_invchisq", beta0=0.0, nu0=tag[1], s=tag[2])
-        return tag[0], specs
+        return tag[0], PriorSpec("test_invchisq", beta0=0.0, nu0=tag[1], s=tag[2])
     raise DomainError(f"unknown analysis {tag!r}")
 
 
-def _simulate(family, link, data: ModelData, initial: FitResult, config: ReplicationConfig):
+def _simulate(family, link, data: ModelData, initial: FitResult, scale, config):
     """Draw every replicate's generating parameters and response as arrays.
 
     Each purpose fills one row per replicate, in replicate order, from its own
-    child stream of the seed: phi_g (1), beta_init (2), the kernel noise (3)
-    and the responses (4), drawn around the means of the fitted link, so
-    replicate r does not depend on n_sim. Returns beta_g (R, p), phi_g (R,),
-    the responses (R, n) and the failure reasons ("" for none).
+    child stream of the seed: phi_g (1: draws of the scale marginal ``scale``,
+    or ones when it is None), beta_init (2), the kernel noise (3) and the
+    responses (4), drawn around the means of the fitted link, so replicate r
+    does not depend on n_sim. Returns beta_g (R, p), phi_g (R,), the responses (R, n) and the
+    failure reasons ("" for none).
     """
     n_sim, seed, cov_u = config.n_sim, config.seed, initial.cov_unscaled
-    phi_init = np.ones(n_sim)
-    if not family.known_scale:
-        dof = config.scale_dof if config.scale_dof is not None else initial.n - initial.p
-        phi_init = ScaleMarginal.from_deviance(initial.deviance, dof).sample(n_sim, seed.child(1))
+    phi_init = np.ones(n_sim) if scale is None else scale.sample(n_sim, seed.child(1))
     z = seed.child(2).generator().standard_normal((n_sim, data.p))
     beta_init = initial.beta_hat + np.sqrt(phi_init)[:, None] * (z @ np.linalg.cholesky(cov_u).T)
     beta_g, phi_g = config.kernel.apply(beta_init, phi_init, phi_init[:, None] * np.diag(cov_u),
@@ -322,7 +316,7 @@ def _simulate(family, link, data: ModelData, initial: FitResult, config: Replica
     return beta_g, phi_g, y, reasons
 
 
-def _ml_failure_reasons(bf) -> np.ndarray:
+def _fit_failure_reasons(bf) -> np.ndarray:
     """Per-replicate failure reason of a batch fit ("" for a usable fit)."""
     reasons = np.full(bf.converged.shape, "", dtype=object)
     reasons[~bf.converged] = "non-convergence"
@@ -334,50 +328,54 @@ def _ml_failure_reasons(bf) -> np.ndarray:
 def run_replication(initial: FitResult, family, link, data: ModelData,
                     config: ReplicationConfig) -> ReplicationReport:
     """Hierarchical replicate simulation: draw generating parameters from the
-    initial posterior, translate, simulate replicate data on the initial
-    design, re-run each configured analysis, and summarize.
+    initial posterior (phi from ``laplace_posterior``'s scale marginal),
+    translate, simulate replicate data on the initial design, fit, re-run each
+    configured analysis, and summarize.
 
     Every replicate is simulated first, as arrays with one child stream of the
     config's seed per purpose (see ``_simulate``), so the result is
-    deterministic given the seed and replicate r is the same at any n_sim.
-    Each analysis then runs as one block: the ML analysis fits every simulated
-    replicate in one ``fit_irls_batch`` call and takes their Wald p-values from
-    ``two_sided_tail``; each Bayes analysis takes the grid pi-value of every
-    replicate that the ML analysis kept. Failed replicates are flagged with a
-    reason ("mean outside family domain" when the link maps the generating
+    deterministic given the seed and replicate r is the same at any n_sim. One
+    ``fit_irls_batch`` call then decides the replicates every analysis keeps
+    and each one's plug-in scale phi_r = D_r/(n - p) (1 for known scale). The
+    ML analysis takes Wald p-values at phi_r; each Bayes analysis takes the
+    grid pi-value at phi_r, its prior on the target, over +-8 se of the initial
+    fit at its plug-in scale. Failed replicates are flagged with a reason
+    ("mean outside family domain" when the link maps the generating
     coefficients off the family's means, "simulation overflow" when the
     sampler cannot draw a response, "too few events", "fit error" when IRLS
-    took no step, "boundary", "non-convergence") and excluded from summaries;
-    the excluded fraction is reported.
+    took no step, "boundary", "non-convergence"), counted in
+    ``failure_counts`` and excluded from summaries.
     """
     family, link = _resolve(family, link)
-    if initial.boundary or not initial.converged:
-        raise BoundaryError("replication harness needs a converged interior fit")
-    if not -data.p <= config.target_index < data.p:
-        raise DomainError(f"target_index {config.target_index} out of range for p = {data.p}")
-    beta_g, phi_g, y, reasons = _simulate(family, link, data, initial, config)
+    post = laplace_posterior(initial, config.scale_prior, family)     # checks fit and dof
+    j = config.target_index
+    if not -data.p <= j < data.p:
+        raise DomainError(f"target_index {j} out of range for p = {data.p}")
+    beta_g, phi_g, y, reasons = _simulate(family, link, data, initial, post.scale_marginal, config)
     kept = np.flatnonzero(reasons == "")
-    results = {}                                    # per kept replicate, in the order of kept
-    if "ml" in config.analyses and kept.size:
-        bf = fit_irls_batch(family, link, y[kept], data.X, data.offset, data.weights)
-        reasons[kept] = _ml_failure_reasons(bf)
-        ok = reasons[kept] == ""
-        phi = np.ones(kept.size) if family.known_scale else bf.deviance / (data.n - data.p)
-        results["ml_estimates"] = bf.beta_hat[ok]
-        results["ml_p"] = two_sided_tail(bf.beta_hat[ok], np.sqrt(
-            phi[ok, None] * np.diagonal(bf.cov_unscaled[ok], axis1=1, axis2=2)))
-        kept = kept[ok]
+    bf = fit_irls_batch(family, link, y[kept], data.X, data.offset, data.weights)
+    reasons[kept] = _fit_failure_reasons(bf)
+    ok = reasons[kept] == ""
+    kept = kept[ok]
     if not kept.size:
         raise HarnessError("every replicate failed")
-    bayes = [_bayes_priors(tag, data.p) for tag in config.analyses if tag != "ml"]
-    bounds = [(b - 8.0 * s, b + 8.0 * s) for b, s in zip(initial.beta_hat, initial.se())]
-    j = config.target_index
-    for key, priors in bayes:
+    phi = np.ones(kept.size) if family.known_scale else bf.deviance[ok] / (data.n - data.p)
+    results = {}                                    # per kept replicate, in the order of kept
+    if "ml" in config.analyses:
+        results["ml_estimates"] = bf.beta_hat[ok]
+        results["ml_p"] = two_sided_tail(bf.beta_hat[ok], np.sqrt(
+            phi[:, None] * np.diagonal(bf.cov_unscaled[ok], axis1=1, axis2=2)))
+    bayes = [_bayes_prior(tag) for tag in config.analyses if tag != "ml"]
+    bounds = [(b - 8.0 * s, b + 8.0 * s)
+              for b, s in zip(initial.beta_hat, initial.se(post.phi_map))]
+    for key, prior in bayes:
+        priors = [None] * data.p
+        priors[j] = prior
         pis = results[f"{key}_pi"] = []
-        for i in kept:
+        for i, phi_r in zip(kept, phi):
             ll = vectorized_loglik(family, link, ModelData(y=y[i], X=data.X, offset=data.offset,
-                                                           weights=data.weights))
-            gp = grid_posterior(ll, priors, bounds, resolution=config.bayes_resolution)
+                                                           weights=data.weights), phi_r)
+            gp = grid_posterior(ll, priors, bounds, resolution=BAYES_RESOLUTION)
             pis.append(pi_value_from_grid(gp, j).p_or_pi if gp.proper else None)
     records = [{"replicate": r, "failed": bool(reasons[r]), "failure_reason": reasons[r],
                 "beta_g": beta_g[r], "phi_g": phi_g[r]} for r in range(config.n_sim)]
@@ -401,4 +399,5 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
         pis = [pi for pi in results[f"{key}_pi"] if pi is not None]
         if pis:
             summaries[f"{key}_pi_median"] = float(np.median(pis))
-    return ReplicationReport(records, summaries, config)
+    failure_counts = dict(collections.Counter(reasons[reasons != ""]))
+    return ReplicationReport(records, summaries, config, failure_counts)

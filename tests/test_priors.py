@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 import piglm as pg
-from piglm.priors import KINDS, PriorSpec, ScalePriorSpec, _uniform_sigma_kernel, \
+from piglm.priors import KINDS, PriorSpec, ScalePriorSpec, _uniform_sigma_logpdf, \
     prior_logpdf, prior_pdf
 
 
@@ -92,7 +92,7 @@ class TestKernels:
             mix, _ = integrate.quad(
                 lambda s: stats.norm.pdf(u, scale=s) / (smax - smin), smin, smax
             )
-            val = float(_uniform_sigma_kernel(np.array(u), smin, smax))
+            val = float(np.exp(_uniform_sigma_logpdf(np.array(u), smin, smax)))
             assert val == pytest.approx(mix / math.sqrt(math.pi), rel=1e-8)
 
     def test_flat_hypercube(self):
@@ -131,6 +131,19 @@ class TestLogDensity:
         ref = stats.t.logpdf(b, 2.5, loc=0.5, scale=1.3)
         assert prior_logpdf(spec, b) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("u", [0.5, 5.0, 75.0, 80.0, 1000.0])
+    def test_uniform_sigma_far_tail(self, u):
+        # the E1 difference is subnormal from about 37.4 sigma_max and 0 from
+        # 38.4; its log, from log E1(x) = log U(1, 1, x) - x, is not
+        mpmath = pytest.importorskip("mpmath")
+        smin, smax = 1.0, 2.0
+        spec = PriorSpec("test_uniform_sigma", beta0=0.5, sigma_bounds=(smin, smax))
+        with mpmath.workdps(40):
+            a, b = (mpmath.mpf(u) ** 2 / (2 * s**2) for s in (smax, smin))
+            ref = float(mpmath.log((mpmath.e1(a) - mpmath.e1(b))
+                                   / (2 * mpmath.sqrt(2) * mpmath.pi * (smax - smin))))
+        assert prior_logpdf(spec, 0.5 + u) == pytest.approx(ref, rel=1e-12)
+
 
 def _center_convolution_by_quad(kernel, b, lo, hi):
     """Per-point quad of a test kernel over centers in [lo, hi]; 0 outside the bounds."""
@@ -166,7 +179,7 @@ class TestExploreConvolutions:
         b = self._grid(*bounds)
         got = prior_pdf(spec, b)
         ref = _center_convolution_by_quad(
-            lambda u: _uniform_sigma_kernel(np.array(u), *sigma_bounds), b, *bounds)
+            lambda u: np.exp(_uniform_sigma_logpdf(np.array(u), *sigma_bounds)), b, *bounds)
         assert np.array_equal(got == 0.0, ref == 0.0)
         assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
 

@@ -200,8 +200,7 @@ class TestKernel:
         assert phi == 0.5
 
     def test_gaussian_bias_and_inflation(self):
-        k = TranslationKernel(kind="gaussian", bias=np.array([10.0, 0.0]),
-                              inflation=np.array([1.0, 2.0]))
+        k = TranslationKernel(bias=np.array([10.0, 0.0]), inflation=np.array([1.0, 2.0]))
         rng = np.random.default_rng(0)
         draws = np.array([
             k.apply(np.zeros(2), 1.0, np.ones(2), np.random.default_rng(i))[0]
@@ -212,8 +211,7 @@ class TestKernel:
 
     def test_rows_are_replicates(self):
         # beta (R, p), phi (R,): each row is translated on its own noise row
-        k = TranslationKernel(kind="gaussian", bias=np.array([10.0, 0.0]),
-                              inflation=np.array([1.0, 2.0]), scale_kind="lognormal",
+        k = TranslationKernel(bias=np.array([10.0, 0.0]), inflation=np.array([1.0, 2.0]),
                               scale_sd=0.5)
         beta, phi = k.apply(np.zeros((4000, 2)), np.ones(4000), np.ones((4000, 2)),
                             np.random.default_rng(0))
@@ -225,11 +223,21 @@ class TestKernel:
                        np.random.default_rng(0))
         assert np.array_equal(head[0], beta[:100]) and np.array_equal(head[1], phi[:100])
 
+    def test_bias_alone_shifts_beta(self):
+        # a bias is a translation by itself: beta moves by the bias plus unit-
+        # inflation noise, and phi stays, since scale_sd is 0
+        beta, phi = TranslationKernel(bias=[10.0, 0.0]).apply(
+            np.zeros((4000, 2)), np.ones(4000), np.ones((4000, 2)), np.random.default_rng(1))
+        assert beta.mean(axis=0) == pytest.approx([10.0, 0.0], abs=0.1)
+        assert beta.std(axis=0) == pytest.approx([1.0, 1.0], rel=0.05)
+        assert np.array_equal(phi, np.ones(4000))
+
     def test_validation(self):
-        with pytest.raises(pg.DomainError):
-            TranslationKernel(kind="bootstrap")
-        with pytest.raises(pg.DomainError):
-            TranslationKernel(kind="gaussian", inflation=np.array([0.0]))
+        with pytest.raises(pg.DomainError, match="inflation"):
+            TranslationKernel(inflation=np.array([0.0]))
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(pg.DomainError, match="scale_sd"):
+                TranslationKernel(scale_sd=bad)
 
 
 class TestHarness:
@@ -293,16 +301,18 @@ class TestHarness:
         )
         assert ratio == pytest.approx(1.0, abs=0.35)
 
-    def test_scale_dof_override_rescales_marginal(self, rng):
-        # scaled-inverse-chi-square(dof, D/dof) has mean D/(dof - 2); with
-        # dof = n-p-2 (uniform scale prior) the scale must follow the dof
+    def test_uniform_scale_prior_rescales_marginal(self, rng):
+        # scaled-inverse-chi-square(dof, D/dof) has mean D/(dof - 2); the
+        # uniform scale prior gives laplace_posterior's dof = n-p-2, and the
+        # scale must follow the dof
         n = 30
         X = np.column_stack([np.ones(n), np.linspace(-1, 1, n)])
         y = X @ np.array([0.5, 1.0]) + rng.standard_normal(n)
         data = ModelData(y=y, X=X)
         fit = fit_irls("gaussian", "identity", data)
         dof = n - 4
-        cfg = ReplicationConfig(n_sim=2000, seed=pg.RngStream(10), scale_dof=dof)
+        prior = pg.ScalePriorSpec("uniform_bounded", bounds=(0.0, 50.0))
+        cfg = ReplicationConfig(n_sim=2000, seed=pg.RngStream(10), scale_prior=prior)
         rep = run_replication(fit, "gaussian", "identity", data, cfg)
         phi = np.array([r["phi_g"] for r in rep.records])
         # relative Monte Carlo error of the mean is sqrt(2/(dof-4)/2000) ~ 0.7%
@@ -311,8 +321,7 @@ class TestHarness:
     def test_bayes_analysis_route(self, credence_primary):
         data, fit = credence_primary
         cfg = ReplicationConfig(n_sim=100, seed=pg.RngStream(21),
-                                analyses=("ml", "bayes_flat"),
-                                bayes_resolution=101)
+                                analyses=("ml", "bayes_flat"))
         rep = run_replication(fit, "poisson", "log", data, cfg)
         med = rep.summaries["bayes_flat_pi_median"]
         assert 0.0 < med < 1.0
@@ -322,18 +331,94 @@ class TestHarness:
 
     def test_bayes_runs_on_the_replicates_ml_kept(self, trial_records):
         # CREDENCE/dka has one placebo event; without the events guard many
-        # replicates have none and fit at the boundary. The order of the
-        # analysis tags changes nothing.
+        # replicates have none and fit at the boundary. The one batch fit
+        # keeps the same replicates whether or not 'ml' is asked for, and the
+        # order of the analysis tags changes nothing.
         data, _ = pg.trial_model_data(trial_records, "CREDENCE", "dka")
         fit = fit_irls("poisson", "log", data)
-        a, b = (run_replication(fit, "poisson", "log", data,
-                                ReplicationConfig(n_sim=100, seed=pg.RngStream(6), analyses=an,
-                                                  min_events_guard=0, bayes_resolution=51))
-                for an in (("bayes_flat", "ml"), ("ml", "bayes_flat")))
+        a, b, c = (run_replication(fit, "poisson", "log", data,
+                                   ReplicationConfig(n_sim=100, seed=pg.RngStream(6),
+                                                     analyses=an, min_events_guard=0))
+                   for an in (("bayes_flat", "ml"), ("ml", "bayes_flat"), ("bayes_flat",)))
         ml_failed = [r for r in a.records if r["failure_reason"] == "boundary"]
         assert ml_failed and not any("bayes_flat_pi" in r for r in ml_failed)
         assert all("bayes_flat_pi" in r for r in a.records if not r["failed"])
         assert pg.to_json_text(a.summaries) == pg.to_json_text(b.summaries)
+        assert [r["failure_reason"] for r in c.records] == [r["failure_reason"] for r in a.records]
+        assert [r.get("bayes_flat_pi") for r in c.records] == [
+            r.get("bayes_flat_pi") for r in a.records]
+        assert not any("ml_p" in r for r in c.records)
+        assert c.summaries["fraction_failed"] == a.summaries["fraction_failed"]
+
+    def test_bayes_pi_matches_wald_p_at_the_fitted_scale(self):
+        # gaussian/identity with unknown scale (phi_hat = 32.6): under a flat
+        # prior at a replicate's plug-in scale phi_r the posterior of beta is
+        # N(beta_hat_r, phi_r (X'X)^-1), so its grid pi is its Wald p up to the
+        # 201^2 grid's error; a grid at phi = 1 gives pi = 0 here
+        n = 30
+        X = np.column_stack([np.ones(n), np.linspace(-1, 1, n)])
+        y = X @ np.array([0.5, 3.0]) + 5.0 * np.random.default_rng(3).standard_normal(n)
+        data = ModelData(y=y, X=X)
+        fit = fit_irls("gaussian", "identity", data)
+        rep = run_replication(fit, "gaussian", "identity", data,
+                              ReplicationConfig(n_sim=300, seed=pg.RngStream(3),
+                                                analyses=("ml", "bayes_flat")))
+        assert rep.summaries["fraction_failed"] == 0.0
+        rel = np.array([abs(r["bayes_flat_pi"] / r["ml_p"][1] - 1.0) for r in rep.records])
+        assert rel.max() < 0.2
+        assert np.median(rel) < 0.02
+
+    def test_student_t_prior_sits_on_the_target(self, credence_primary):
+        # the treatment column first, so the target is not the last coefficient:
+        # the harness's pi for a replicate is grid_posterior's with the t prior
+        # on the target, and not the pi with the prior on the intercept
+        data, _ = credence_primary
+        data = dataclasses.replace(data, X=data.X[:, ::-1])
+        fit = fit_irls("poisson", "log", data)
+        cfg = ReplicationConfig(n_sim=100, seed=pg.RngStream(12), target_index=0,
+                                analyses=(("bayes_student_t", 3.0, 0.5),))
+        rep = run_replication(fit, "poisson", "log", data, cfg)
+        r = next(r["replicate"] for r in rep.records if not r["failed"])
+        _, _, y, _ = replication._simulate(pg.glm.FAMILIES["poisson"], pg.glm.LINKS["log"],
+                                           data, fit, None, cfg)
+        ll = pg.vectorized_loglik("poisson", "log", dataclasses.replace(data, y=y[r]))
+        bounds = [(b - 8.0 * s, b + 8.0 * s) for b, s in zip(fit.beta_hat, fit.se())]
+        prior = pg.PriorSpec("test_invchisq", beta0=0.0, nu0=3.0, s=0.5)
+        on_target, on_intercept = (
+            pg.pi_value_from_grid(pg.grid_posterior(ll, priors, bounds,
+                                                    resolution=replication.BAYES_RESOLUTION),
+                                  0).p_or_pi
+            for priors in ([prior, None], [None, prior]))
+        assert rep.records[r]["bayes_student_t_pi"] == on_target
+        assert on_target != pytest.approx(on_intercept, rel=0.05)
+
+    def test_failure_counts_sum_to_the_failed_fraction(self, trial_records):
+        # CREDENCE/dka without the events guard: boundary fits among others;
+        # the counts sit beside the summaries, so the CLI JSON does not change
+        data, _ = pg.trial_model_data(trial_records, "CREDENCE", "dka")
+        fit = fit_irls("poisson", "log", data)
+        rep = run_replication(fit, "poisson", "log", data,
+                              ReplicationConfig(n_sim=400, seed=pg.RngStream(6),
+                                                min_events_guard=0))
+        counts = rep.failure_counts
+        assert counts.get("boundary", 0) > 0 and "failure_counts" not in rep.summaries
+        assert sum(counts.values()) == round(rep.summaries["fraction_failed"] * 400)
+        for reason, count in counts.items():
+            assert count == sum(r["failure_reason"] == reason for r in rep.records)
+
+    def test_unknown_scale_needs_residual_dof(self, monkeypatch):
+        # n == p leaves the scale marginal no dof: a specific error, raised
+        # before any replicate is simulated
+        data = ModelData(y=np.array([1.0, 3.0]), X=np.array([[1.0, 1.0], [1.0, 0.0]]))
+        fit = fit_irls("gaussian", "identity", data)
+
+        def no_simulation(*args, **kwargs):
+            raise RuntimeError("replicate simulated")
+
+        monkeypatch.setattr(replication, "_simulate", no_simulation)
+        with pytest.raises(pg.DegreesOfFreedomError):
+            run_replication(fit, "gaussian", "identity", data,
+                            ReplicationConfig(n_sim=100, seed=pg.RngStream(1)))
 
     def test_boundary_initial_rejected(self, dapa_dka):
         data, fit = dapa_dka
@@ -465,7 +550,7 @@ class TestHarness:
         far = dataclasses.replace(fit_irls("poisson", "log", counts),
                                   beta_hat=np.array([70.0, 0.0]))
         _, _, y, reasons = replication._simulate(
-            pg.glm.FAMILIES["poisson"], pg.glm.LINKS["log"], counts, far,
+            pg.glm.FAMILIES["poisson"], pg.glm.LINKS["log"], counts, far, None,
             ReplicationConfig(n_sim=100, seed=pg.RngStream(1)))
         assert np.isnan(y).all()
         assert set(reasons) == {"simulation overflow"}
@@ -473,8 +558,7 @@ class TestHarness:
     @pytest.mark.parametrize("family,link,kernel", [
         ("poisson", "log", TranslationKernel()),
         ("gamma", "log", TranslationKernel()),
-        ("gamma", "log", TranslationKernel(kind="gaussian", scale_kind="lognormal",
-                                           scale_sd=0.3)),
+        ("gamma", "log", TranslationKernel(inflation=1.0, scale_sd=0.3)),
     ])
     def test_replicate_draws_do_not_depend_on_n_sim(self, trial_records, family, link,
                                                     kernel):
@@ -518,7 +602,7 @@ class TestHarness:
                       [2.0, np.nan, 3.0, 2.0],   # no step possible
                       [9.0, 8.0, 4.0, 5.0]])
         bf = fit_irls_batch("poisson", "log", Y, X)
-        assert list(replication._ml_failure_reasons(bf)) == ["", "boundary", "fit error", ""]
+        assert list(replication._fit_failure_reasons(bf)) == ["", "boundary", "fit error", ""]
         bf = fit_irls_batch("poisson", "log", Y, X, max_iter=4)
-        assert list(replication._ml_failure_reasons(bf)) == [
+        assert list(replication._fit_failure_reasons(bf)) == [
             "", "non-convergence", "fit error", ""]
