@@ -4,7 +4,8 @@ Every subcommand writes a JSON result (and optional plot CSVs) with the RNG
 seed embedded, so identical invocations produce byte-identical outputs.
 
 Exit codes: 0 success; 2 domain/parse errors; 3 boundary or convergence
-conditions not waived by --allow-boundary; 64 usage errors.
+conditions not waived by --allow-boundary (fit, posterior and surface take
+it; replicate does not); 64 usage errors.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ _common = [
     click.option("--outcome", required=True),
     click.option("--exposure-scale", default=1000.0, show_default=True),
     *_seed_out,
-    click.option("--allow-boundary", is_flag=True,
-                 help="Exit 0 and report values even for boundary fits."),
 ]
+_allow_boundary = click.option("--allow-boundary", is_flag=True,
+                               help="Exit 0 and report values even for boundary fits.")
 
 
 def _apply(options):
@@ -122,7 +123,8 @@ def _apply(options):
     return decorate
 
 
-common_options = _apply(_common)
+study_options = _apply(_common)
+common_options = _apply([*_common, _allow_boundary])
 seed_out_options = _apply(_seed_out)
 
 
@@ -312,11 +314,10 @@ def rpd(pi_init, cap, resolution, seed, out_path, curve_out):
 
 
 @cli.command()
-@common_options
+@study_options
 @click.option("--n-sim", default=1000, show_default=True,
               type=click.IntRange(MIN_N_SIM, MAX_N_SIM))
-def replicate(data_path, study, outcome, exposure_scale, seed, out_path,
-              allow_boundary, n_sim):
+def replicate(data_path, study, outcome, exposure_scale, seed, out_path, n_sim):
     """Hierarchical replicate simulation (ML analysis of each replicate)."""
     data, meta = _load(data_path, study, outcome, exposure_scale)
     res = fit_irls("poisson", "log", data)

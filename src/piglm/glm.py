@@ -210,7 +210,7 @@ LINKS = {
 
 @dataclasses.dataclass(frozen=True)
 class ModelData:
-    """One GLM problem: response, design, offsets and prior weights.
+    """One GLM problem: response, design, offsets and prior weights, all finite.
 
     Binomial responses are proportions with the trial counts in ``weights``.
     """
@@ -234,6 +234,9 @@ class ModelData:
         w = np.ones(n) if self.weights is None else np.asarray(self.weights, dtype=float)
         if off.shape[0] != n or w.shape[0] != n:
             raise DesignError("offset/weights length mismatch")
+        for name, v in (("y", y), ("X", X), ("offset", off), ("weights", w)):
+            if not np.isfinite(v).all():
+                raise DesignError(f"{name} must be finite")
         if np.any(w <= 0):
             raise DesignError("weights must be positive")
         object.__setattr__(self, "offset", off)
@@ -267,7 +270,6 @@ class FitResult:
     converged: bool
     boundary: bool
     iterations: int
-    loglik_at_mle: float
     family: str
     link: str
     n: int
@@ -457,15 +459,14 @@ class BatchFit:
     stepped: np.ndarray        # (R,) bool
 
 
-def fit_irls_batch(family, link, Y, X, offset=None, weights=None,
-                   tol=1e-8, max_iter=50) -> BatchFit:
+def fit_irls_batch(family, link, Y, X, offset=None, weights=None, max_iter=50) -> BatchFit:
     """Fisher scoring on every row of a response array Y (R, n) at once.
 
     X (n, p), the offset and the prior weights are shared. Each row follows
     exactly the path it would follow alone: its own step-halving, stopping
     rule and boundary tests; rows leave the active set as they finish.
     Convergence requires both a relative deviance change below 1e-10 and a
-    score infinity-norm below ``tol`` (at phi = 1; the scale cancels from the
+    score infinity-norm below 1e-8 (at phi = 1; the scale cancels from the
     score equations for all four families). Estimates drifting past the
     divergence guard, mean underflow, step-halving failure or a singular
     information matrix set ``boundary`` instead of raising.
@@ -551,7 +552,7 @@ def fit_irls_batch(family, link, Y, X, offset=None, weights=None,
             u = w * (y - mu) / (family.variance(mu) * link.gprime(mu))
             s = np.matmul(XT, u[:, :, None])[:, :, 0]
             done = (np.abs(dev - dev_old) < 1e-10 * (np.abs(dev) + 0.1)) \
-                & (np.abs(s).max(axis=1) < tol) & ~failed
+                & (np.abs(s).max(axis=1) < 1e-8) & ~failed
             converged[act[done]] = True
             finished = failed | done
         if finished.any():
@@ -584,30 +585,24 @@ def fit_irls_batch(family, link, Y, X, offset=None, weights=None,
     return BatchFit(beta, cov, dev_out, mu_out, iterations, converged, boundary, start_ok, stepped)
 
 
-def fit_irls(family, link, data: ModelData, tol=1e-8, max_iter=50) -> FitResult:
+def fit_irls(family, link, data: ModelData) -> FitResult:
     """Fit one model by Fisher scoring: ``fit_irls_batch`` on its single response.
 
-    Adds the scale estimates and the log likelihood at the MLE. Raises
-    DomainError when the start mean leaves the family domain and
-    ConvergenceError when IRLS cannot take a single step.
+    Adds the scale estimates. Raises DomainError when the start mean leaves
+    the family domain and ConvergenceError when IRLS cannot take a single step.
     """
     family, link = _resolve(family, link)
     n, p = data.n, data.p
-    bf = fit_irls_batch(family, link, data.y[None, :], data.X, data.offset, data.weights,
-                        tol=tol, max_iter=max_iter)
+    bf = fit_irls_batch(family, link, data.y[None, :], data.X, data.offset, data.weights)
     if not bf.start_ok[0]:
         raise DomainError(f"mean outside the {family.name} family domain")
     if not bf.stepped[0]:
         raise ConvergenceError("IRLS could not take a single step")
     beta, mu, dev = bf.beta_hat[0], bf.mu[0], float(bf.deviance[0])
     boundary = bool(bf.boundary[0])
-    phi_ll = 1.0
     scale = None
     if n > p and dev > 0 and not boundary:
-        scale = _scale_estimates_impl(family, link, data, beta, mu, dev)
-        if not family.known_scale:
-            phi_ll = scale.phi_dev
-    ll = float(np.sum(family.loglik(data.y, mu, phi_ll, data.weights)))
+        scale = _scale_estimates_impl(family, data, mu, dev)
     return FitResult(
         beta_hat=beta,
         cov_unscaled=bf.cov_unscaled[0],
@@ -616,7 +611,6 @@ def fit_irls(family, link, data: ModelData, tol=1e-8, max_iter=50) -> FitResult:
         converged=bool(bf.converged[0]),
         boundary=boundary,
         iterations=int(bf.iterations[0]),
-        loglik_at_mle=ll,
         family=family.name,
         link=link.name,
         n=n,
@@ -624,7 +618,7 @@ def fit_irls(family, link, data: ModelData, tol=1e-8, max_iter=50) -> FitResult:
     )
 
 
-def _scale_estimates_impl(family, link, data, beta, mu, dev):
+def _scale_estimates_impl(family, data, mu, dev):
     n, p = data.n, data.p
     V = family.variance(mu)
     phi_mom = float(np.sum(data.weights * (data.y - mu) ** 2 / V) / (n - p))
@@ -642,7 +636,7 @@ def scale_estimates(family, link, data: ModelData, fit: FitResult) -> ScaleEstim
     if fit.scale is not None:
         return fit.scale
     mu, _ = _mu_from_beta(family, link, fit.beta_hat, data)
-    return _scale_estimates_impl(family, link, data, fit.beta_hat, mu, fit.deviance)
+    return _scale_estimates_impl(family, data, mu, fit.deviance)
 
 
 def saddlepoint_logpdf(family, y_i: float, mu_i: float, phi: float) -> float:
@@ -675,10 +669,10 @@ class LikelihoodSurface:
 
 def likelihood_surface(family, link, data: ModelData, fit: FitResult,
                        half_widths=(3.0, 3.0), resolution=101,
-                       anchor=None, phi: float = 1.0) -> LikelihoodSurface:
-    """Log-likelihood on a rectangular grid around the MLE (p = 2 only).
+                       anchor=None) -> LikelihoodSurface:
+    """Log-likelihood at scale phi = 1 on a rectangular grid around the MLE (p = 2 only).
 
-    ``half_widths`` are in SE units; boundary fits must supply ``anchor``.
+    ``half_widths`` are in SE units at phi = 1; boundary fits must supply ``anchor``.
     """
     family, link = _resolve(family, link)
     if data.p != 2:
@@ -688,12 +682,12 @@ def likelihood_surface(family, link, data: ModelData, fit: FitResult,
     center = np.asarray(anchor if anchor is not None else fit.beta_hat, dtype=float)
     mu, _ = _mu_from_beta(family, link, center, data)
     W = data.weights / (family.variance(mu) * link.gprime(mu) ** 2)
-    info = data.X.T @ (W[:, None] * data.X) / phi
+    info = data.X.T @ (W[:, None] * data.X)
     se = np.sqrt(np.diag(np.linalg.inv(info)))
     g0 = np.linspace(center[0] - half_widths[0] * se[0], center[0] + half_widths[0] * se[0], resolution)
     g1 = np.linspace(center[1] - half_widths[1] * se[1], center[1] + half_widths[1] * se[1], resolution)
-    ll = _loglik_grid(family, link, data, (g0, g1), max(phi, 1e-300))
-    ll0 = log_likelihood(family, link, center, max(phi, 1e-300), data)
+    ll = _loglik_grid(family, link, data, (g0, g1), 1.0)
+    ll0 = log_likelihood(family, link, center, 1.0, data)
     diffs0 = g0[:, None] - center[0]
     diffs1 = g1[None, :] - center[1]
     quad = (
@@ -703,8 +697,8 @@ def likelihood_surface(family, link, data: ModelData, fit: FitResult,
     return LikelihoodSurface(g0, g1, ll, quad, center, info, anchor is not None)
 
 
-def quadraticity_diagnostic(surface: LikelihoodSurface, threshold: float = 0.1):
-    """Max |ll - ll_quad| over nodes within Mahalanobis distance 2 of the center."""
+def quadraticity_diagnostic(surface: LikelihoodSurface):
+    """Max |ll - ll_quad| within Mahalanobis distance 2 of the center; it passes below 0.1."""
     if surface.anchored:
         raise DomainError("quadraticity diagnostic needs a surface centered at the MLE")
     d0 = surface.beta0_grid[:, None] - surface.center[0]
@@ -719,4 +713,4 @@ def quadraticity_diagnostic(surface: LikelihoodSurface, threshold: float = 0.1):
         raise DomainError("no surface node lies within Mahalanobis distance 2 of the center")
     diff = np.abs(surface.loglik - surface.loglik_quad)
     score_val = float(np.max(diff[mask]))
-    return {"score": score_val, "pass": score_val < threshold}
+    return {"score": score_val, "pass": score_val < 0.1}

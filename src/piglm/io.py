@@ -47,6 +47,16 @@ class TrialRecord:
         return self.exposure is None
 
 
+def _positive(row, column) -> Optional[float]:
+    """The column's value as a finite number above 0, or None when it is empty or absent."""
+    if row.get(column) in (None, ""):
+        return None
+    value = float(row[column])
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{column} must be finite and > 0")
+    return value
+
+
 def parse_trial_csv(path) -> List[TrialRecord]:
     """Read and validate trial arm records; raises ParseError with row numbers."""
     with open(path, newline="") as fh:
@@ -65,14 +75,8 @@ def parse_trial_csv(path) -> List[TrialRecord]:
                 events = int(row["events"])
                 if events < 0:
                     raise ValueError("events must be >= 0")
-                exposure = None
-                if row["exposure"] not in (None, ""):
-                    exposure = float(row["exposure"])
-                    if not exposure > 0:
-                        raise ValueError("exposure must be > 0")
-                arm_size = None
-                if row.get("arm_size") not in (None, ""):
-                    arm_size = float(row["arm_size"])
+                exposure = _positive(row, "exposure")
+                arm_size = _positive(row, "arm_size")
                 if exposure is None and arm_size is None:
                     raise ValueError("need exposure or arm_size")
                 records.append(TrialRecord(

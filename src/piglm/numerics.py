@@ -23,7 +23,6 @@ __all__ = [
     "student_t_cdf",
     "student_t_logpdf",
     "two_sided_tail",
-    "exp_integral_gamma0",
     "gauss_legendre",
     "RngStream",
     "MixtureModel1D",
@@ -34,6 +33,8 @@ __all__ = [
 ]
 
 MIN_MIXTURE_SAMPLES = 1000                      # fewest draws the mixture fit takes
+EM_TOL = 1e-8                                   # relative log-likelihood gain that ends an EM start
+EM_MAX_ITER = 500                               # most EM iterations of one start
 
 
 def std_normal_cdf(x):
@@ -105,15 +106,6 @@ def student_t_logpdf(x, nu, loc=0.0, scale=1.0):
         - math.log(scale)
         - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)
     )
-    return out if out.ndim else float(out)
-
-
-def exp_integral_gamma0(x):
-    """Upper incomplete gamma Gamma(0, x) = E1(x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(~(x > 0.0)):
-        raise DomainError("exp_integral_gamma0 requires x > 0")
-    out = special.exp1(x)
     return out if out.ndim else float(out)
 
 
@@ -260,16 +252,15 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
     return w, m, s, ll, iters, barred
 
 
-def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
-                            max_iter=500, stream=None):
+def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, stream=None):
     """Fit unequal-variance Gaussian mixtures for G = 1..g_max, pick best BIC.
 
     G = 1 is fitted in closed form (mean, population sd, normal log
     likelihood; ``n_iter`` 1). Each G > 1 runs EM (``_em_batch``) from
     quantile-spaced means with pooled sd and equal weights, plus
-    ``n_restarts`` random restarts; every start stops on its
-    own relative log-likelihood gain below ``tol``, at ``max_iter``, or once
-    it cannot beat the best BIC so far. The component-sd floor is 1e-6 x
+    ``n_restarts`` random restarts; every start stops on its own relative
+    log-likelihood gain below ``EM_TOL``, at ``EM_MAX_ITER`` iterations, or
+    once it cannot beat the best BIC so far. The component-sd floor is 1e-6 x
     sample sd to keep components from collapsing on a point. The scan over G
     stops once BIC worsens. The model's ``stages`` record every G tried; the
     BIC of a G that lost is where its starts stopped. Fewer than
@@ -306,7 +297,7 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, tol=1e-8,
         bar = (k_free * math.log(n) - best.bic) / 2.0
         w, m, s, ll, iters, barred = _em_batch(
             x, np.full((S, g), 1.0 / g), np.array(means0), np.array(sds0),
-            tol, max_iter, sd_floor, bar=bar)
+            EM_TOL, EM_MAX_ITER, sd_floor, bar=bar)
         i_best = int(np.argmax(ll))
         bic = -2.0 * float(ll[i_best]) + k_free * math.log(n)
         stages.append(MixtureStage(g, bic, tuple(iters.tolist()), int(barred.sum())))

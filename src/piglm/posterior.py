@@ -186,16 +186,17 @@ def vectorized_loglik(family, link, data: ModelData, phi: float = 1.0) -> Vector
 
 @dataclasses.dataclass(frozen=True)
 class GridPosterior:
-    """Trapezoid-normalized posterior on a rectangular grid (p <= 3).
+    """Posterior on a rectangular grid (p <= 3), normalized by the trapezoid rule.
 
-    ``marginals`` holds each parameter's normalized marginal as a read-only
-    (grid, density) pair, built once by ``grid_posterior``; parameter indices
-    may count from the end, as in Python.
+    ``joint`` is the read-only exp(log posterior - its max) at every node and
+    ``mass`` its trapezoid integral. ``marginals`` holds each parameter's
+    normalized marginal as a read-only (grid, density) pair, built once by
+    ``grid_posterior``; parameter indices may count from the end, as in Python.
     """
 
     axes: Tuple[np.ndarray, ...]
-    log_density: np.ndarray        # unnormalized
-    log_normalizer: float
+    joint: np.ndarray              # unnormalized, peak 1
+    mass: float
     proper: bool
     marginals: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
@@ -206,7 +207,7 @@ class GridPosterior:
     def density(self) -> np.ndarray:
         if not self.proper:
             raise SupportError("improper posterior: normalization withheld")
-        return np.exp(self.log_density - self.log_normalizer)
+        return self.joint / self.mass
 
     def marginal(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
         """(grid, density) of the normalized marginal of parameter ``index``."""
@@ -295,10 +296,11 @@ def grid_posterior(loglik: VectorizedLoglik, priors: Sequence[Optional[PriorSpec
 
     ``loglik`` comes from ``vectorized_loglik``, whose ``grid`` method gives
     the log likelihood at every node; a ``None`` prior entry means flat
-    (constant) over the grid for that parameter. The grid is exponentiated
-    once and reduced once per axis to that axis's marginal; the normalizer is
-    the integral of axis 0's marginal. The result is marked improper (and left
-    unnormalized) when the marginal of any flat axis fails the tail-decay test.
+    (constant) over the grid for that parameter. The log posterior is
+    exponentiated in place, less its max, and reduced once per axis to that
+    axis's marginal; the mass is the integral of axis 0's marginal. The result
+    is marked improper (and its density withheld) when the marginal of any
+    flat axis fails the tail-decay test.
     """
     p = len(bounds)
     if p > 3 or p < 1:
@@ -316,9 +318,8 @@ def grid_posterior(loglik: VectorizedLoglik, priors: Sequence[Optional[PriorSpec
             logpost += lp.reshape([resolution if j == i else 1 for j in range(p)])
     if not np.any(np.isfinite(logpost)):
         raise SupportError("posterior is -inf everywhere on the grid")
-    peak = np.max(logpost)
-    dens = logpost - peak
-    np.exp(dens, out=dens)         # in place: one full-grid array fewer to allocate
+    logpost -= np.max(logpost)
+    dens = np.exp(logpost, out=logpost)    # in place: the grid's only full-size array
     # Every PriorSpec is proper, so only a flat (None) axis can carry a flat
     # tail; a heavy proper tail such as t_2 would fail the slope test at a wide edge.
     improper, masses, marginals = False, [], []
@@ -333,8 +334,8 @@ def grid_posterior(loglik: VectorizedLoglik, priors: Sequence[Optional[PriorSpec
         grid, marg = ax.view(), marg / masses[-1]
         grid.flags.writeable = marg.flags.writeable = False
         marginals.append((grid, marg))
-    return GridPosterior(axes, logpost, peak + math.log(masses[0]), not improper,
-                         tuple(marginals))
+    dens.flags.writeable = False
+    return GridPosterior(axes, dens, masses[0], not improper, tuple(marginals))
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
@@ -378,8 +379,6 @@ def detect_impropriety(marginal_loglik: Callable, direction: str = "both"):
 class McmcChain:
     draws: np.ndarray
     acceptance_rate: float
-    stream: RngStream
-    burn_in: int
 
 
 def rw_metropolis(log_post: Callable, init, proposal_cov, n_iter: int,
@@ -431,12 +430,12 @@ def rw_metropolis(log_post: Callable, init, proposal_cov, n_iter: int,
     rate = acc_retained / n_iter
     if rate == 0.0:
         raise MixingError("chain never moved after adaptation")
-    return McmcChain(draws[burn_in:], rate, stream, burn_in)
+    return McmcChain(draws[burn_in:], rate)
 
 
 def p_formula_density(fit: FitResult, family, link, data: ModelData,
-                      beta_grid: Sequence[np.ndarray], phi: float = 1.0):
-    """Normalized-likelihood density on a two-parameter grid.
+                      beta_grid: Sequence[np.ndarray]):
+    """Normalized-likelihood density on a two-parameter grid, at scale phi = 1.
 
     raw = (n/2pi)^{p/2} |avg information|^{1/2} exp(ll(beta) - ll(beta_hat));
     ``renormalized`` divides raw by its trapezoid integral over the grid.
@@ -446,11 +445,11 @@ def p_formula_density(fit: FitResult, family, link, data: ModelData,
         raise BoundaryError("p-formula density needs a converged interior fit")
     if fit.p != 2 or len(beta_grid) != 2:
         raise DomainError("p-formula density supports exactly two parameters")
-    ll = vectorized_loglik(family, link, data, phi)
+    ll = vectorized_loglik(family, link, data)
     g0, g1 = (np.asarray(g, dtype=float) for g in beta_grid)
     ll_vals = ll.grid((g0, g1))
     ll_hat = float(ll(fit.beta_hat[None, :])[0])
-    info = np.linalg.inv(fit.cov_unscaled) / phi  # total information
+    info = np.linalg.inv(fit.cov_unscaled)  # total information
     n, p = fit.n, fit.p
     avg_info = info / n
     const = (n / (2.0 * math.pi)) ** (p / 2.0) * math.sqrt(np.linalg.det(avg_info))

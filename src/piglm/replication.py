@@ -49,19 +49,18 @@ LN2 = math.log(2.0)
 _RPD_HALF_WIDTH = 30.0 * math.sqrt(2.0)
 
 
-def predictive_posterior(fit: FitResult, phi: float = 1.0) -> dict:
+def predictive_posterior(fit: FitResult) -> dict:
     """Predictive distributions for an exact replicate of the fitted study.
 
     Returns the predictive posterior N(beta_hat, 3 Sigma) for the replicate
     coefficients and the replicate-estimator marginal N(beta_hat, 2 Sigma),
-    where Sigma = phi * cov_unscaled.
+    where Sigma = cov_unscaled, the covariance at scale phi = 1.
     """
     if fit.boundary or not fit.converged:
         raise BoundaryError("predictive posterior needs a converged interior fit")
-    sigma = phi * fit.cov_unscaled
     return {
-        "predictive": LaplacePosterior(fit.beta_hat, 3.0 * sigma),
-        "replicate_estimator": LaplacePosterior(fit.beta_hat, 2.0 * sigma),
+        "predictive": LaplacePosterior(fit.beta_hat, 3.0 * fit.cov_unscaled),
+        "replicate_estimator": LaplacePosterior(fit.beta_hat, 2.0 * fit.cov_unscaled),
     }
 
 
@@ -272,7 +271,6 @@ class ReplicationConfig:
 class ReplicationReport:
     records: list
     summaries: dict
-    config: ReplicationConfig
     failure_counts: dict                            # replicates per failure reason
 
 
@@ -400,4 +398,4 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
         if pis:
             summaries[f"{key}_pi_median"] = float(np.median(pis))
     failure_counts = dict(collections.Counter(reasons[reasons != ""]))
-    return ReplicationReport(records, summaries, config, failure_counts)
+    return ReplicationReport(records, summaries, failure_counts)

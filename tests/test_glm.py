@@ -399,6 +399,17 @@ class TestValidation:
         with pytest.raises(pg.DesignError):
             ModelData(y=np.arange(3.0), X=np.ones((3, 1)), weights=np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("field,bad", [
+        ("y", np.nan), ("X", np.inf), ("offset", -np.inf), ("weights", np.nan)])
+    def test_non_finite_field_is_named(self, field, bad):
+        # a NaN y or an inf in X used to surface as a domain or rank error,
+        # and a NaN weight passed the positivity test
+        kw = dict(y=np.array([1.0, 2.0, 4.0]), X=np.column_stack([np.ones(3), [0.0, 1.0, 2.0]]),
+                  offset=np.zeros(3), weights=np.ones(3))
+        kw[field][(1, 1) if field == "X" else 1] = bad
+        with pytest.raises(pg.DesignError, match=f"^{field} must be finite$"):
+            ModelData(**kw)
+
     def test_unknown_family_or_link(self):
         data = ModelData(y=np.arange(1.0, 4.0), X=np.ones((3, 1)))
         with pytest.raises(pg.DomainError):
@@ -551,9 +562,18 @@ class TestBatchCore:
             assert _same(fit.cov_unscaled, row.cov_unscaled[0])
             assert (fit.deviance, fit.iterations, fit.converged, fit.boundary) == (
                 row.deviance[0], row.iterations[0], row.converged[0], row.boundary[0])
-        error = pg.DomainError if family in ("gaussian", "binomial", "gamma") else pg.ConvergenceError
-        with pytest.raises(error):
-            fit_irls(family, link, ModelData(y=rows[2], X=_X2, weights=w))
+        # the row the batch cannot fit is not finite, so it never reaches fit_irls;
+        # a finite response outside the support still stops the fit
+        with pytest.raises(pg.DesignError, match="^y must be finite$"):
+            ModelData(y=rows[2], X=_X2, weights=w)
+        if family != "gaussian":
+            y = np.where(np.isfinite(rows[2]), rows[2], -1.0)
+            error = pg.DomainError if family == "binomial" else pg.ConvergenceError
+            with np.errstate(invalid="ignore", divide="ignore"):
+                row = fit_irls_batch(family, link, y[None, :], _X2, weights=w)
+                with pytest.raises(error):
+                    fit_irls(family, link, ModelData(y=y, X=_X2, weights=w))
+            assert row.start_ok[0] == (family != "binomial") and not row.stepped[0]
 
     @pytest.mark.parametrize("case", sorted(_OVERSHOOT))
     def test_step_halving_rows(self, case):

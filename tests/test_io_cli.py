@@ -53,6 +53,22 @@ class TestParsing:
         with pytest.raises(pg.ParseError):
             pg.parse_trial_csv(f)
 
+    @pytest.mark.parametrize("exposure,arm_size,column", [
+        ("", "-50", "arm_size"), ("", "0", "arm_size"), ("", "nan", "arm_size"),
+        ("inf", "50", "exposure")])
+    def test_size_must_be_finite_and_positive(self, tmp_path, capsys, exposure, arm_size,
+                                              column):
+        # such a size made the offset NaN or inf, and the fit failed as a boundary (exit 3)
+        f = tmp_path / "t.csv"
+        f.write_text("study,outcome,arm,treat,events,exposure,arm_size\n"
+                     f"S1,primary,drug,1,10,{exposure},{arm_size}\n"
+                     "S1,primary,placebo,0,20,101.5,50\n")
+        with pytest.raises(pg.ParseError, match=f"{column} must be finite and > 0") as err:
+            pg.parse_trial_csv(f)
+        assert err.value.row == 2
+        assert main(["fit", "--study", "S1", "--outcome", "primary", "--data", str(f)]) == 2
+        assert "row 2" in capsys.readouterr().err
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("")
@@ -140,6 +156,13 @@ class TestCli:
         assert main(["not-a-command"]) == 64
         assert main(["fit", "--study", "X", "--outcome", "y",
                      "--data", "/definitely/not/here.csv"]) == 64
+
+    def test_replicate_takes_no_boundary_waiver(self, capsys):
+        # replicate needs an interior fit, so it has no --allow-boundary to read
+        args = ["replicate", "--study", "DAPA-CKD", "--outcome", "dka", "--n-sim", "100"]
+        assert main(args + ["--allow-boundary"]) == 64
+        assert "--allow-boundary" in capsys.readouterr().err
+        assert main(args) == 3
 
     def test_parse_error_exit_code(self, tmp_path):
         f = tmp_path / "bad.csv"

@@ -8,7 +8,6 @@ from scipy import stats
 import piglm as pg
 from piglm import numerics
 from piglm.numerics import (
-    exp_integral_gamma0,
     std_normal_cdf,
     std_normal_logcdf,
     std_normal_quantile,
@@ -102,25 +101,6 @@ class TestStudentT:
             student_t_cdf(0.0, 0.0)
         with pytest.raises(pg.DomainError):
             student_t_logpdf(0.0, 1.0, scale=0.0)
-
-
-class TestExpIntegral:
-    def test_known_value(self):
-        # Gamma(0, 1) = 0.21938393439552027... (standard tabulated constant)
-        assert exp_integral_gamma0(1.0) == pytest.approx(0.21938393439552027, rel=1e-12)
-
-    def test_small_argument_log_behavior(self):
-        # Gamma(0, x) ~ -gamma_euler - log x as x -> 0
-        x = 1e-12
-        assert exp_integral_gamma0(x) == pytest.approx(
-            -0.5772156649015329 - math.log(x), rel=1e-10
-        )
-
-    def test_domain(self):
-        with pytest.raises(pg.DomainError):
-            exp_integral_gamma0(0.0)
-        with pytest.raises(pg.DomainError):
-            exp_integral_gamma0(-1.0)
 
 
 class TestGaussLegendre:

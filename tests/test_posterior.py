@@ -362,8 +362,10 @@ class TestGridPosterior:
         gp = grid_posterior(ll, [None, None], bounds, resolution=201)
         assert isinstance(gp.marginals, tuple) and len(gp.marginals) == 2
         assert {f.name for f in dataclasses.fields(gp)} == {
-            "axes", "log_density", "log_normalizer", "proper", "marginals"}
-        bare = dataclasses.replace(gp, log_density=None)
+            "axes", "joint", "mass", "proper", "marginals"}
+        with pytest.raises(ValueError):
+            gp.joint[0, 0] = 1.0
+        bare = dataclasses.replace(gp, joint=None)
         for index in (0, 1):
             assert pg.pi_value_from_grid(bare, index) == pg.pi_value_from_grid(gp, index)
             assert bare.mean_sd(index) == gp.mean_sd(index)
@@ -394,9 +396,26 @@ class TestGridPosterior:
         with pytest.raises(pg.DomainError, match="vectorized_loglik"):
             grid_posterior(lambda b: np.zeros(len(b)), [None], [(-1, 1)])
 
+    def test_density_is_the_joint_over_its_trapezoid_mass(self, credence_primary):
+        # oracle: the log posterior rebuilt from the grid log likelihood and
+        # the prior, exponentiated less its max and normalized by its own integral
+        data, fit = credence_primary
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        t_prior = pg.PriorSpec("test_invchisq", beta0=0.0, nu0=2.5, s=1.0)
+        for prior in (None, t_prior):
+            gp = grid_posterior(ll, [None, prior], bounds, resolution=201)
+            lp = ll.grid(gp.axes)
+            if prior is not None:
+                lp += np.asarray(pg.prior_logpdf(prior, gp.axes[1]))[None, :]
+            ref = np.exp(lp - lp.max())
+            ref /= np.trapezoid(np.trapezoid(ref, gp.axes[1], axis=1), gp.axes[0])
+            np.testing.assert_allclose(gp.density(), ref, rtol=1e-12, atol=0.0)
+
     def test_peak_memory_of_an_801_grid(self, credence_primary):
-        # the log posterior, the density and one marginal temporary are grid-sized;
-        # the log likelihood is formed in slabs and each trapezoid in one temporary
+        # the joint, exponentiated in place, and one marginal temporary are
+        # grid-sized; the log likelihood is formed in slabs and each trapezoid
+        # in one temporary
         data, fit = credence_primary
         bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
         ll = pg.vectorized_loglik("poisson", "log", data)
@@ -406,7 +425,7 @@ class TestGridPosterior:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 8 * 801**2
+        assert peak <= 2.5 * 8 * 801**2
 
 
 class TestImproprietyDetector:
