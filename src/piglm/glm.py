@@ -1,8 +1,9 @@
 """Exponential-family GLMs: likelihood, IRLS fitting, deviance, scale estimates.
 
 Families carry the variance function V(mu), the unit deviance, the exact log
-density, the IRLS start, the profile scale estimate, a simulator and the
-event counts; links carry g, its inverse and derivative.
+density, the IRLS start, the profile scale estimate, a simulator, the
+event counts and, where it has a closed form, the likelihood summed out over a
+flat intercept; links carry g, its inverse and derivative.
 Fitting is Fisher scoring (expected information), which coincides with
 Newton for the canonical links used here and is the stable choice for
 gamma-log.
@@ -67,6 +68,24 @@ def _poisson_simulate(rng, mu, phi, w):
     return np.where(ok, rng.poisson(np.where(ok, w * mu, 0.0)), np.nan) / w
 
 
+def _poisson_summed_intercept(y, eta, w):
+    """The log-link Poisson likelihood summed out over a flat intercept alpha.
+
+    ``eta`` (n, m) is the linear predictor without alpha at m points. With
+    Y = sum w y and S = sum w e^eta, the likelihood is exp(Y alpha - S e^alpha)
+    exp(sum w y eta) up to a constant, so S e^alpha given eta is Gamma(Y, 1)
+    and, for Y > 0, the sum over alpha is Gamma(Y) S^-Y exp(sum w y eta): the
+    multinomial likelihood of the counts given their total (McCullagh &
+    Nelder, Generalized Linear Models, 2nd ed., ch. 6). Returns Y, and log S
+    and sum w y eta - Y log S at each point.
+    """
+    wy = w * y
+    total = float(wy.sum())
+    top = eta.max(axis=0)          # special.logsumexp takes 16 times as long at (2, 801)
+    log_s = top + np.log(w @ np.exp(eta - top))
+    return total, log_s, wy @ eta - total * log_s
+
+
 def _binomial_loglik(y, mu, phi, m):
     k = y * m
     return (special.gammaln(m + 1.0) - special.gammaln(k + 1.0) - special.gammaln(m - k + 1.0)
@@ -117,6 +136,9 @@ class Family:
     phi_mpl: Callable[..., float]                  # (y, mu, w, p, phi_dev): argmax (p/2) log phi + l
     simulate: Callable[..., np.ndarray]            # (rng, mu, phi, w): a response per mean, or NaN
     event_counts: Optional[Callable[..., np.ndarray]]  # (y, w): events; None if continuous
+    # (y, eta, w) under the log link: (Y, log S, log likelihood summed over a flat
+    # intercept) as _poisson_summed_intercept; None where that sum has no closed form
+    summed_intercept: Optional[Callable[..., tuple]]
 
     def check_mu(self, mu):
         if not np.all(self.in_domain(np.asarray(mu))):
@@ -146,6 +168,7 @@ FAMILIES = {
         phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
         simulate=lambda rng, mu, phi, w: mu + rng.standard_normal(np.shape(mu)) * np.sqrt(phi / w),
         event_counts=None,
+        summed_intercept=None,
     ),
     "poisson": Family(
         name="poisson",
@@ -158,6 +181,7 @@ FAMILIES = {
         phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
         simulate=_poisson_simulate,
         event_counts=lambda y, w: np.rint(y * w),
+        summed_intercept=_poisson_summed_intercept,
     ),
     "binomial": Family(
         name="binomial",
@@ -171,6 +195,7 @@ FAMILIES = {
         phi_mpl=lambda y, mu, w, p, phi_dev: phi_dev,
         simulate=lambda rng, mu, phi, w: rng.binomial(w.astype(int), mu) / w,
         event_counts=lambda y, w: np.rint(y * w),
+        summed_intercept=None,
     ),
     "gamma": Family(
         name="gamma",
@@ -183,6 +208,7 @@ FAMILIES = {
         phi_mpl=_gamma_phi_mpl,
         simulate=lambda rng, mu, phi, w: rng.gamma(w / phi, mu * phi / w),
         event_counts=None,
+        summed_intercept=None,
     ),
 }
 
@@ -365,6 +391,24 @@ def _loglik_grid(family: Family, link: LinkFn, data: ModelData, axes, phi: float
             nodes = _grid_nodes((sub[0][s:s + step], *sub[1:]))
             out[lead + (slice(s, s + step),)] += _loglik_points(family, link, g, nodes,
                                                                 phi).reshape(shape)
+    return out
+
+
+def _summed_loglik_grid(family: Family, data: ModelData, axes, k: int):
+    """Log likelihood summed out over the flat intercept column ``k``, on the other axes.
+
+    The values of ``family.summed_intercept`` at every node of the grid on
+    ``axes`` without axis ``k``, shaped by those axes, in slabs of
+    ``_GRID_SLAB_POINTS`` nodes along the first of them.
+    """
+    rest = [j for j in range(len(axes)) if j != k]
+    X, sub = data.X[:, rest], [axes[j] for j in rest]
+    out = np.empty([len(a) for a in sub])
+    step = max(1, _GRID_SLAB_POINTS // math.prod(len(a) for a in sub[1:]))
+    for s in range(0, len(sub[0]), step):
+        eta = X @ _grid_nodes((sub[0][s:s + step], *sub[1:])).T + data.offset[:, None]
+        out[s:s + step] = family.summed_intercept(data.y, eta, data.weights)[2].reshape(
+            -1, *out.shape[1:])
     return out
 
 

@@ -30,6 +30,7 @@ from .glm import (
     _loglik_points,
     _resolve,
     _resolve_family,
+    _summed_loglik_grid,
 )
 from .numerics import RngStream, std_normal_cdf, student_t_cdf
 from .priors import PriorSpec, ScalePriorSpec, prior_logpdf
@@ -185,20 +186,42 @@ def vectorized_loglik(family, link, data: ModelData, phi: float = 1.0) -> Vector
 
 
 @dataclasses.dataclass(frozen=True)
+class _SummedIntercept:
+    """The flat intercept, column ``index`` of ones, summed out of a grid posterior."""
+
+    index: int
+    family: Family
+    data: ModelData
+
+    def draw(self, rest: np.ndarray, rng) -> np.ndarray:
+        """Intercept draws from its exact conditional given each row of ``rest``,
+        the other coefficients in column order: log Gamma(Y, 1) - log S."""
+        X = np.delete(self.data.X, self.index, axis=1)
+        total, log_s, _ = self.family.summed_intercept(
+            self.data.y, X @ rest.T + self.data.offset[:, None], self.data.weights)
+        return np.log(rng.gamma(total, size=len(rest))) - log_s
+
+
+@dataclasses.dataclass(frozen=True)
 class GridPosterior:
     """Posterior on a rectangular grid (p <= 3), normalized by the trapezoid rule.
 
-    ``joint`` is the read-only exp(log posterior - its max) at every node and
-    ``mass`` its trapezoid integral. ``marginals`` holds each parameter's
-    normalized marginal as a read-only (grid, density) pair, built once by
-    ``grid_posterior``; parameter indices may count from the end, as in Python.
+    ``axes`` holds every parameter's axis. ``joint`` is the read-only
+    exp(log posterior - its max) at every node of the gridded axes and
+    ``mass`` its trapezoid integral. ``marginals`` holds each gridded
+    parameter's normalized marginal as a read-only (grid, density) pair, built
+    once by ``grid_posterior``; parameter indices may count from the end, as in
+    Python. When ``summed`` is set, its intercept is summed out exactly: it has
+    no axis in ``joint`` and no marginal (None in ``marginals``), and ``sample``
+    draws it from its conditional.
     """
 
     axes: Tuple[np.ndarray, ...]
     joint: np.ndarray              # unnormalized, peak 1
     mass: float
     proper: bool
-    marginals: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    marginals: Tuple[Optional[Tuple[np.ndarray, np.ndarray]], ...]
+    summed: Optional[_SummedIntercept]
 
     @property
     def p(self) -> int:
@@ -214,6 +237,9 @@ class GridPosterior:
         _check_index(index, self.p)
         if not self.proper:
             raise SupportError("improper posterior: normalization withheld")
+        if self.marginals[index] is None:
+            raise DomainError(f"parameter {index} is the intercept summed out of this grid; "
+                              "it has no marginal")
         return self.marginals[index]
 
     def marginal_cdf_at(self, index: int, x0: float) -> float:
@@ -241,18 +267,21 @@ class GridPosterior:
                 float(0.5 * (dens[-2] + dens[-1]) * (grid[-1] - grid[-2])))
 
     def sample(self, n: int, stream: RngStream) -> np.ndarray:
-        """Draw from the grid by cell probabilities plus in-cell jitter."""
-        dens = self.density()
-        flat = dens.ravel()
-        prob = flat / flat.sum()
+        """Draw from the grid by cell probabilities plus in-cell jitter, and a summed-out
+        intercept from its exact conditional given the other coordinates."""
+        if not self.proper:
+            raise SupportError("improper posterior: normalization withheld")
+        prob = (self.joint / self.joint.sum()).ravel()
         rng = stream.generator()
-        idx = rng.choice(len(flat), size=n, p=prob)
-        coords = np.unravel_index(idx, dens.shape)
+        idx = rng.choice(prob.size, size=n, p=prob)
+        gridded = [i for i, m in enumerate(self.marginals) if m is not None]
         out = np.empty((n, self.p))
-        for d in range(self.p):
+        for d, c in zip(gridded, np.unravel_index(idx, self.joint.shape)):
             ax = self.axes[d]
             h = ax[1] - ax[0]
-            out[:, d] = ax[coords[d]] + rng.uniform(-0.5, 0.5, size=n) * h
+            out[:, d] = ax[c] + rng.uniform(-0.5, 0.5, size=n) * h
+        if self.summed is not None:
+            out[:, self.summed.index] = self.summed.draw(out[:, gridded], rng)
         return out
 
 
@@ -290,17 +319,40 @@ def _grid_tail_improper(axis: np.ndarray, log_marg: np.ndarray) -> bool:
     return False
 
 
+def _summed_intercept(loglik: VectorizedLoglik,
+                      priors: Sequence[Optional[PriorSpec]]) -> Optional[_SummedIntercept]:
+    """The intercept that ``grid_posterior`` sums out, or None to grid every axis.
+
+    It needs a family with a closed-form sum (``Family.summed_intercept``),
+    the log link (the sum needs mu = exp(eta)), p >= 2, a column of ones in X
+    whose prior is None, and Y > 0: with no events the sum diverges.
+    """
+    family, data = loglik.family, loglik.data
+    if family.summed_intercept is None or loglik.link.ginv is not np.exp or data.p < 2:
+        return None
+    ones = [j for j in range(data.p) if priors[j] is None and np.all(data.X[:, j] == 1.0)]
+    if not ones:
+        return None
+    # Y does not depend on the coefficients; read it at the one point eta = offset
+    total = family.summed_intercept(data.y, data.offset[:, None], data.weights)[0]
+    return _SummedIntercept(ones[0], family, data) if total > 0 else None
+
+
 def grid_posterior(loglik: VectorizedLoglik, priors: Sequence[Optional[PriorSpec]],
                    bounds: Sequence[Tuple[float, float]], resolution: int = 801) -> GridPosterior:
     """Exact posterior on a rectangular grid under per-parameter priors.
 
     ``loglik`` comes from ``vectorized_loglik``, whose ``grid`` method gives
     the log likelihood at every node; a ``None`` prior entry means flat
-    (constant) over the grid for that parameter. The log posterior is
-    exponentiated in place, less its max, and reduced once per axis to that
-    axis's marginal; the mass is the integral of axis 0's marginal. The result
-    is marked improper (and its density withheld) when the marginal of any
-    flat axis fails the tail-decay test.
+    (constant) over the grid for that parameter. A flat intercept that
+    ``_summed_intercept`` accepts is summed out in closed form, and only the
+    other axes are gridded: their log posterior is
+    (w y) . eta' - Y log(sum w e^eta') plus the priors, eta' the linear
+    predictor without the intercept. The log posterior is exponentiated in
+    place, less its max, and reduced once per gridded axis to that axis's
+    marginal; the mass is the integral of the first gridded axis's marginal.
+    The result is marked improper (and its density withheld) when the marginal
+    of any flat gridded axis fails the tail-decay test.
     """
     p = len(bounds)
     if p > 3 or p < 1:
@@ -311,31 +363,34 @@ def grid_posterior(loglik: VectorizedLoglik, priors: Sequence[Optional[PriorSpec
         raise DomainError("grid posterior needs the log likelihood from vectorized_loglik, "
                           f"not {type(loglik).__name__}")
     axes = tuple(np.linspace(lo, hi, resolution) for lo, hi in bounds)
-    logpost = loglik.grid(axes)
-    for i, spec in enumerate(priors):
-        if spec is not None:
-            lp = np.asarray(prior_logpdf(spec, axes[i]), dtype=float)
-            logpost += lp.reshape([resolution if j == i else 1 for j in range(p)])
+    summed = _summed_intercept(loglik, priors)
+    gridded = [i for i in range(p) if summed is None or i != summed.index]
+    logpost = (loglik.grid(axes) if summed is None
+               else _summed_loglik_grid(loglik.family, loglik.data, axes, summed.index))
+    for d, i in enumerate(gridded):
+        if priors[i] is not None:
+            lp = np.asarray(prior_logpdf(priors[i], axes[i]), dtype=float)
+            logpost += lp.reshape([resolution if e == d else 1 for e in range(len(gridded))])
     if not np.any(np.isfinite(logpost)):
         raise SupportError("posterior is -inf everywhere on the grid")
     logpost -= np.max(logpost)
     dens = np.exp(logpost, out=logpost)    # in place: the grid's only full-size array
     # Every PriorSpec is proper, so only a flat (None) axis can carry a flat
     # tail; a heavy proper tail such as t_2 would fail the slope test at a wide edge.
-    improper, masses, marginals = False, [], []
-    for i, ax in enumerate(axes):
+    improper, masses, marginals = False, [], [None] * p
+    for d, i in enumerate(gridded):
         marg = dens
-        for j in reversed([j for j in range(p) if j != i]):
-            marg = _trapezoid(marg, axes[j], j)
+        for e in reversed([e for e in range(len(gridded)) if e != d]):
+            marg = _trapezoid(marg, axes[gridded[e]], e)
         if priors[i] is None:
             with np.errstate(divide="ignore"):
-                improper = improper or _grid_tail_improper(ax, np.log(marg))
-        masses.append(float(np.trapezoid(marg, ax)))
-        grid, marg = ax.view(), marg / masses[-1]
+                improper = improper or _grid_tail_improper(axes[i], np.log(marg))
+        masses.append(float(np.trapezoid(marg, axes[i])))
+        grid, marg = axes[i].view(), marg / masses[-1]
         grid.flags.writeable = marg.flags.writeable = False
-        marginals.append((grid, marg))
+        marginals[i] = (grid, marg)
     dens.flags.writeable = False
-    return GridPosterior(axes, dens, masses[0], not improper, tuple(marginals))
+    return GridPosterior(axes, dens, masses[0], not improper, tuple(marginals), summed)
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:

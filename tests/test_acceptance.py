@@ -35,6 +35,7 @@ from scipy import integrate, stats
 
 import piglm as pg
 from conftest import record_criterion
+from exact import two_arm_counts, two_arm_joint
 
 
 SEED = 20260824
@@ -378,14 +379,13 @@ def test_criterion_12_oracle_property_suite(credence_primary):
                 F.unit_deviance(np.asarray(yy), np.asarray(y0)))
             ok &= abs(ratio - 1.0) < tol
     checks.append(("squared-residual/deviance ratio -> 1 near the mean", ok))
-    # normalized-likelihood density vs flat-prior grid posterior
+    # normalized-likelihood density vs the exact flat-prior joint density
     data, fit = credence_primary
     se = fit.se(1.0)
     g0 = np.linspace(fit.beta_hat[0] - 6 * se[0], fit.beta_hat[0] + 6 * se[0], 201)
     g1 = np.linspace(fit.beta_hat[1] - 6 * se[1], fit.beta_hat[1] + 6 * se[1], 201)
     pf = pg.p_formula_density(fit, "poisson", "log", data, (g0, g1))
-    gp = pg.grid_posterior(pg.vectorized_loglik("poisson", "log", data), [None, None],
-                           [(g0[0], g0[-1]), (g1[0], g1[-1])], resolution=201)
-    sup = float(np.max(np.abs(gp.density() - pf["renormalized"])))
+    exact = two_arm_joint(g0, g1, *two_arm_counts(data))
+    sup = float(np.max(np.abs(exact - pf["renormalized"])))
     checks.append((f"renormalized density sup-distance {sup:.2e} < 1e-3", sup < 1e-3))
     _assert_criterion(12, "oracle and property suite", checks)

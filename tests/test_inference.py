@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import special, stats
+from scipy import stats
 
 import piglm as pg
 from piglm.inference import (
@@ -14,6 +14,8 @@ from piglm.inference import (
     tail_comparison,
     wald_pvalue,
 )
+
+from exact import flat_prior_pi
 
 
 class TestWald:
@@ -95,8 +97,7 @@ class TestPiValue:
         bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
         gp = pg.grid_posterior(pg.vectorized_loglik("poisson", "log", data), [None, None],
                                bounds, resolution=801)
-        x = e1 / (e1 + e0)
-        exact = 2.0 * min(special.betainc(y1, y0, x), special.betainc(y0, y1, 1.0 - x))
+        exact = flat_prior_pi(y1, e1, y0, e0)
         assert pi_value_from_grid(gp, 1).p_or_pi == pytest.approx(exact, rel=0.01)
 
     def test_grid_pi_is_mirror_symmetric_in_the_far_tail(self):
@@ -190,8 +191,10 @@ def test_index_rule_on_every_pi_route(route, credence_primary):
         post = pg.laplace_posterior(fit, None, "poisson").beta_posterior
         pi_of = lambda j: pi_value_analytic(post, j)
     else:
+        # a proper prior on the intercept keeps its axis on the grid
         bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
-        gp = pg.grid_posterior(pg.vectorized_loglik("poisson", "log", data), [None, None],
+        gp = pg.grid_posterior(pg.vectorized_loglik("poisson", "log", data),
+                               [pg.PriorSpec("test_fixed_sigma", beta0=0.0, sigma=10.0), None],
                                bounds, resolution=101)
         pi_of = lambda j: pi_value_from_grid(gp, j)
     for j in (-3, 2):

@@ -11,6 +11,12 @@ import piglm as pg
 from piglm.glm import FAMILIES, LINKS, ModelData, _grid_nodes, _loglik_points, fit_irls
 from piglm.posterior import grid_posterior, laplace_posterior, rw_metropolis
 
+from exact import flat_prior_moments, log_gamma_cumulants, two_arm_counts, two_arm_joint
+
+# A proper prior on the intercept keeps it on the grid: with it a Poisson model
+# gives the full 2-D grid, whose intercept axis the tests below read.
+INTERCEPT_PRIOR = pg.PriorSpec("test_fixed_sigma", beta0=0.0, sigma=10.0)
+
 
 @pytest.fixture(scope="module")
 def gaussian_fit():
@@ -316,12 +322,26 @@ class TestGridPosterior:
         assert draws[:, 0].mean() == pytest.approx(data.y.mean(), abs=0.02)
         assert draws[:, 0].std() == pytest.approx(0.5, rel=0.05)
 
+    def test_sample_draws_cells_from_the_joint_on_the_2d_route(self, credence_primary):
+        data, fit = credence_primary
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        gp = grid_posterior(ll, [INTERCEPT_PRIOR, None], bounds, resolution=201)
+        draws = gp.sample(5000, pg.RngStream(8, 2))
+        for j in (0, 1):
+            mean, sd = gp.mean_sd(j)
+            assert abs(draws[:, j].mean() - mean) < 5.0 * sd / math.sqrt(5000)
+        improper = dataclasses.replace(gp, proper=False)
+        with pytest.raises(pg.SupportError):
+            improper.sample(10, pg.RngStream(8, 3))
+
     def test_improper_flagged_and_density_withheld(self, dapa_dka):
+        # the intercept is summed out; the improper check still comes first on its index
         data, _ = dapa_dka
         ll = pg.vectorized_loglik("poisson", "log", data)
         gp = grid_posterior(ll, [None, None], [(-25.0, 10.0), (-60.0, 20.0)],
                             resolution=201)
-        assert not gp.proper
+        assert gp.summed is not None and not gp.proper
         with pytest.raises(pg.SupportError):
             gp.density()
         for index in (0, -1):
@@ -333,7 +353,7 @@ class TestGridPosterior:
         se = fit.se(1.0)
         bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, se)]
         ll = pg.vectorized_loglik("poisson", "log", data)
-        gp = grid_posterior(ll, [None, None], bounds, resolution=201)
+        gp = grid_posterior(ll, [INTERCEPT_PRIOR, None], bounds, resolution=201)
         grid, dens = gp.marginal(1)
         assert gp.marginal(-1) is gp.marginal(1)
         assert np.array_equal(gp.marginal(-2)[1], gp.marginal(0)[1])
@@ -359,10 +379,10 @@ class TestGridPosterior:
         se = fit.se(1.0)
         bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, se)]
         ll = pg.vectorized_loglik("poisson", "log", data)
-        gp = grid_posterior(ll, [None, None], bounds, resolution=201)
+        gp = grid_posterior(ll, [INTERCEPT_PRIOR, None], bounds, resolution=201)
         assert isinstance(gp.marginals, tuple) and len(gp.marginals) == 2
         assert {f.name for f in dataclasses.fields(gp)} == {
-            "axes", "joint", "mass", "proper", "marginals"}
+            "axes", "joint", "mass", "proper", "marginals", "summed"}
         with pytest.raises(ValueError):
             gp.joint[0, 0] = 1.0
         bare = dataclasses.replace(gp, joint=None)
@@ -383,7 +403,7 @@ class TestGridPosterior:
         ll = pg.vectorized_loglik("poisson", "log", data)
         for k, check in ((8.0, lambda e: e < 1e-12), (1.0, lambda e: e > 1e-4)):
             bounds = [(b - k * s, b + k * s) for b, s in zip(fit.beta_hat, se)]
-            gp = grid_posterior(ll, [None, None], bounds, resolution=801)
+            gp = grid_posterior(ll, [INTERCEPT_PRIOR, None], bounds, resolution=801)
             for index in (0, 1):
                 lo, hi = gp.edge_mass(index)
                 assert check(lo) and check(hi), (k, index, lo, hi)
@@ -404,28 +424,146 @@ class TestGridPosterior:
         ll = pg.vectorized_loglik("poisson", "log", data)
         t_prior = pg.PriorSpec("test_invchisq", beta0=0.0, nu0=2.5, s=1.0)
         for prior in (None, t_prior):
-            gp = grid_posterior(ll, [None, prior], bounds, resolution=201)
+            gp = grid_posterior(ll, [INTERCEPT_PRIOR, prior], bounds, resolution=201)
             lp = ll.grid(gp.axes)
+            lp += np.asarray(pg.prior_logpdf(INTERCEPT_PRIOR, gp.axes[0]))[:, None]
             if prior is not None:
                 lp += np.asarray(pg.prior_logpdf(prior, gp.axes[1]))[None, :]
             ref = np.exp(lp - lp.max())
             ref /= np.trapezoid(np.trapezoid(ref, gp.axes[1], axis=1), gp.axes[0])
             np.testing.assert_allclose(gp.density(), ref, rtol=1e-12, atol=0.0)
 
-    def test_peak_memory_of_an_801_grid(self, credence_primary):
-        # the joint, exponentiated in place, and one marginal temporary are
-        # grid-sized; the log likelihood is formed in slabs and each trapezoid
-        # in one temporary
+    @staticmethod
+    def _peak_memory(credence_primary, priors):
         data, fit = credence_primary
         bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
         ll = pg.vectorized_loglik("poisson", "log", data)
         tracemalloc.start()
         try:
-            grid_posterior(ll, [None, None], bounds, resolution=801)
-            peak = tracemalloc.get_traced_memory()[1]
+            grid_posterior(ll, priors, bounds, resolution=801)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * 801**2
+
+    def test_peak_memory_of_an_801_grid(self, credence_primary):
+        # the joint, exponentiated in place, and one marginal temporary are
+        # grid-sized; the log likelihood is formed in slabs and each trapezoid
+        # in one temporary
+        assert self._peak_memory(credence_primary, [INTERCEPT_PRIOR, None]) <= 2.5 * 8 * 801**2
+
+    def test_peak_memory_of_a_reduced_801_grid(self, credence_primary):
+        # with the intercept summed out, no array is 801^2
+        assert self._peak_memory(credence_primary, [None, None]) < 8 * 801**2
+
+
+class TestSummedIntercept:
+    """A flat Poisson/log intercept is summed out of the grid in closed form."""
+
+    @pytest.mark.parametrize("family,link,priors,index", [
+        ("poisson", "log", [None, None], 0),
+        ("poisson", "log", [INTERCEPT_PRIOR, None], None),
+        ("poisson", "identity", [None, None], None),
+        ("binomial", "logit", [None, None], None),
+    ])
+    def test_route_conditions(self, family, link, priors, index):
+        def summed_index(X, priors):
+            model = dataclasses.replace(data, X=X)
+            summed = pg.posterior._summed_intercept(pg.vectorized_loglik(family, link, model),
+                                                    priors)
+            return None if summed is None else summed.index
+
+        data = ModelData(y=np.array([0.3, 0.6, 0.5]), X=np.column_stack(
+            [np.ones(3), [0.0, 1.0, 2.0]]), weights=np.full(3, 20.0))
+        assert summed_index(data.X, priors) == index
+        # the column of ones need not come first, and p = 1 grids the intercept
+        assert summed_index(data.X[:, ::-1], priors[::-1]) == (None if index is None else 1)
+        assert summed_index(data.X[:, :1], priors[:1]) is None
+
+    def test_zero_events_take_the_2d_route_and_are_improper(self):
+        data = ModelData(y=np.zeros(2), X=np.array([[1.0, 1.0], [1.0, 0.0]]))
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        gp = grid_posterior(ll, [None, None], [(-25.0, 10.0), (-60.0, 20.0)], resolution=201)
+        assert gp.summed is None and gp.joint.shape == (201, 201)
+        assert not gp.proper
+
+    def test_summed_intercept_has_no_marginal(self, credence_primary):
+        data, fit = credence_primary
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
+        gp = grid_posterior(pg.vectorized_loglik("poisson", "log", data), [None, None],
+                            bounds, resolution=801)
+        assert gp.summed.index == 0 and gp.p == 2 and gp.joint.shape == (801,)
+        assert gp.marginals[0] is None and gp.marginal(-1) is gp.marginal(1)
+        np.testing.assert_array_equal(gp.density(), gp.marginal(1)[1])
+        for index in (0, -2):
+            for read in (gp.marginal, gp.edge_mass, gp.mean_sd,
+                         lambda j: pg.pi_value_from_grid(gp, j)):
+                with pytest.raises(pg.DomainError, match="summed out"):
+                    read(index)
+
+    @pytest.mark.parametrize("outcome", [("CREDENCE", "primary"), ("CREDENCE", "dka"),
+                                         ("DAPA-CKD", "primary")])
+    @pytest.mark.parametrize("prior", [None, pg.PriorSpec("test_invchisq", beta0=0.0,
+                                                          nu0=2.5, s=1.0)])
+    def test_marginal_matches_a_2d_trapezoid(self, trial_records, outcome, prior):
+        # oracle: the 2-D grid summed over alpha by the trapezoid rule at
+        # beta0_hat +- 16 se, 2001 nodes, on the same beta1 axis
+        data, _ = pg.trial_model_data(trial_records, *outcome)
+        fit = fit_irls("poisson", "log", data)
+        se = fit.se(1.0)
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, se)]
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        gp = grid_posterior(ll, [None, prior], bounds, resolution=801)
+        alpha = np.linspace(fit.beta_hat[0] - 16 * se[0], fit.beta_hat[0] + 16 * se[0], 2001)
+        lp = ll.grid((alpha, gp.axes[1]))
+        if prior is not None:
+            lp += np.asarray(pg.prior_logpdf(prior, gp.axes[1]))[None, :]
+        ref = np.trapezoid(np.exp(lp - lp.max()), alpha, axis=0)
+        ref /= np.trapezoid(ref, gp.axes[1])
+        grid, dens = gp.marginal(1)
+        assert gp.proper and grid is not gp.axes[1]
+        assert np.max(np.abs(dens - ref)) <= 1e-10 * ref.max()
+
+    def test_three_parameters_match_a_3d_trapezoid(self):
+        # the column of ones in the middle; oracle: the 3-D grid summed over
+        # alpha by the trapezoid rule at alpha_hat +- 16 se, 801 nodes
+        t = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        x = np.array([-1.0, -1.0, 0.0, 0.0, 1.0, 1.0])
+        data = ModelData(y=np.array([12.0, 30.0, 7.0, 22.0, 15.0, 40.0]),
+                         X=np.column_stack([t, np.ones(6), x]),
+                         offset=np.log([1.0, 1.2, 0.8, 1.1, 0.9, 1.3]))
+        fit = fit_irls("poisson", "log", data)
+        se = fit.se(1.0)
+        bounds = [(b - 6 * s, b + 6 * s) for b, s in zip(fit.beta_hat, se)]
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        gp = grid_posterior(ll, [None, None, None], bounds, resolution=41)
+        assert gp.summed.index == 1 and gp.joint.shape == (41, 41)
+        alpha = np.linspace(fit.beta_hat[1] - 16 * se[1], fit.beta_hat[1] + 16 * se[1], 801)
+        lp = ll.grid((gp.axes[0], alpha, gp.axes[2]))
+        ref = np.trapezoid(np.exp(lp - lp.max()), alpha, axis=1)
+        ref /= np.trapezoid(np.trapezoid(ref, gp.axes[2], axis=1), gp.axes[0])
+        dens = gp.density()
+        assert np.max(np.abs(dens - ref)) <= 1e-10 * ref.max()
+        for index, other in ((0, 1), (2, 0)):
+            marg = np.trapezoid(ref, gp.axes[2 - index], axis=other)
+            assert np.max(np.abs(gp.marginal(index)[1] - marg)) <= 1e-10 * marg.max()
+
+    def test_sample_matches_the_exact_moments(self, credence_primary):
+        # under flat priors alpha and alpha + beta1 are independent log-Gamma
+        # variables (tests/exact.py); each draw's intercept comes from its
+        # exact conditional, so both coordinates match within 5 SE
+        data, fit = credence_primary
+        bounds = [(b - 8 * s, b + 8 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
+        gp = grid_posterior(pg.vectorized_loglik("poisson", "log", data), [None, None],
+                            bounds, resolution=801)
+        n = 40000
+        draws = gp.sample(n, pg.RngStream(8, 1))
+        assert draws.shape == (n, 2)
+        y1, e1, y0, e0 = two_arm_counts(data)
+        (m0, v0, k0), (_, _, k1) = log_gamma_cumulants(y0, e0), log_gamma_cumulants(y1, e1)
+        m1, sd1 = flat_prior_moments(y1, e1, y0, e0)
+        for j, (mean, var, k4) in enumerate([(m0, v0, k0), (m1, sd1**2, k0 + k1)]):
+            assert abs(draws[:, j].mean() - mean) < 5.0 * math.sqrt(var / n), j
+            assert abs(draws[:, j].var() - var) < 5.0 * math.sqrt((k4 + 2.0 * var**2) / n), j
 
 
 class TestImproprietyDetector:
@@ -506,9 +644,10 @@ class TestNormalizedLikelihoodDensity:
         # frozen value: the raw normal-approximation constant overshoots the
         # true normalizer by ~6e-4 on this model
         assert out["raw_integral"] == pytest.approx(1.0005853952151607, rel=1e-9)
-        gp = grid_posterior(pg.vectorized_loglik("poisson", "log", data), [None, None],
-                            [(g0[0], g0[-1]), (g1[0], g1[-1])], resolution=201)
-        assert np.max(np.abs(gp.density() - out["renormalized"])) < 1e-3
+        # the exact flat-prior joint; the two differ by the grid's truncation
+        # and trapezoid error
+        exact = two_arm_joint(g0, g1, *two_arm_counts(data))
+        assert np.max(np.abs(exact - out["renormalized"])) < 1e-3
 
     def test_boundary_rejected(self, dapa_dka):
         data, fit = dapa_dka
