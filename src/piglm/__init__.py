@@ -27,19 +27,15 @@ from .glm import (
     log_likelihood,
     quadraticity_diagnostic,
     saddlepoint_logpdf,
-    scale_estimates,
     score,
 )
 from .numerics import MixtureModel1D, RngStream, fit_gaussian_mixture_1d, mixture_tails
 from .priors import (
-    FiniteWorldBounds,
     PriorSpec,
     ScalePriorSpec,
-    finite_world_bounds,
     local_uniformity_check,
     prior_logpdf,
     prior_pdf,
-    scale_prior_logpdf,
 )
 from .posterior import (
     GridPosterior,
@@ -48,7 +44,6 @@ from .posterior import (
     McmcChain,
     ScaleMarginal,
     VectorizedLoglik,
-    detect_impropriety,
     grid_posterior,
     laplace_posterior,
     p_formula_density,
@@ -57,7 +52,6 @@ from .posterior import (
 )
 from .inference import (
     TailReport,
-    direction_estimate,
     pi_value_analytic,
     pi_value_from_grid,
     pi_value_from_samples,
@@ -79,7 +73,6 @@ from .replication import (
     RpdCurve,
     TranslationKernel,
     predictive_pi,
-    predictive_posterior,
     rpd_cdf,
     rpd_curve,
     rpd_median,

@@ -20,7 +20,6 @@ from scipy import special
 
 from .errors import (
     ConvergenceError,
-    DegreesOfFreedomError,
     DesignError,
     DomainError,
     SupportError,
@@ -40,7 +39,6 @@ __all__ = [
     "fit_irls_batch",
     "BatchFit",
     "deviance",
-    "scale_estimates",
     "saddlepoint_logpdf",
     "likelihood_surface",
     "quadraticity_diagnostic",
@@ -646,7 +644,7 @@ def fit_irls(family, link, data: ModelData) -> FitResult:
     boundary = bool(bf.boundary[0])
     scale = None
     if n > p and dev > 0 and not boundary:
-        scale = _scale_estimates_impl(family, data, mu, dev)
+        scale = _estimate_scales(family, data, mu, dev)
     return FitResult(
         beta_hat=beta,
         cov_unscaled=bf.cov_unscaled[0],
@@ -662,7 +660,7 @@ def fit_irls(family, link, data: ModelData) -> FitResult:
     )
 
 
-def _scale_estimates_impl(family, data, mu, dev):
+def _estimate_scales(family, data, mu, dev):
     n, p = data.n, data.p
     V = family.variance(mu)
     phi_mom = float(np.sum(data.weights * (data.y - mu) ** 2 / V) / (n - p))
@@ -670,17 +668,6 @@ def _scale_estimates_impl(family, data, mu, dev):
     phi_dev = dev / (n - p)
     return ScaleEstimates(phi_mom, phi_eql, phi_dev,
                           family.phi_mpl(data.y, mu, data.weights, p, phi_dev))
-
-
-def scale_estimates(family, link, data: ModelData, fit: FitResult) -> ScaleEstimates:
-    """The four scale estimators at the fitted model (requires n > p)."""
-    family, link = _resolve(family, link)
-    if data.n == data.p:
-        raise DegreesOfFreedomError("scale not estimable with n == p")
-    if fit.scale is not None:
-        return fit.scale
-    mu, _ = _mu_from_beta(family, link, fit.beta_hat, data)
-    return _scale_estimates_impl(family, data, mu, fit.deviance)
 
 
 def saddlepoint_logpdf(family, y_i: float, mu_i: float, phi: float) -> float:

@@ -1,4 +1,4 @@
-"""Tail-area inference: Wald p-values, posterior pi-values, directionality.
+"""Tail-area inference: Wald p-values and posterior pi-values, each with its direction.
 
 A pi-value is twice the smaller of the two posterior tail probabilities
 around a reference coefficient value; under a locally uniform prior it
@@ -24,7 +24,6 @@ __all__ = [
     "pi_value_analytic",
     "pi_value_from_grid",
     "pi_value_from_samples",
-    "direction_estimate",
     "tail_comparison",
 ]
 
@@ -55,6 +54,8 @@ def wald_pvalue(fit: FitResult, phi: float, index: int, beta0: float = 0.0,
     Student's t with ``dof`` degrees of freedom otherwise.
     """
     _check_index(index, fit.p)
+    if not phi > 0:
+        raise DomainError("phi must be positive")
     if dof is not None and dof <= 0:
         raise DegreesOfFreedomError("t reference needs dof > 0")
     se = math.sqrt(phi * fit.cov_unscaled[index, index])
@@ -121,16 +122,6 @@ def pi_value_from_samples(samples: Sequence[float], beta0: float = 0.0,
         raise DomainError("method must be 'empirical' or 'mixture'")
     lower, upper = mixture_tails(fit_gaussian_mixture_1d(x - beta0, stream=stream))
     return _tail_report(lower, upper, z, "posterior_mixture")
-
-
-def direction_estimate(pi: float, direction: str) -> float:
-    """Signed directionality estimate sign * (1 - pi) = P(>= ref) - P(< ref)."""
-    if not 0.0 < pi <= 1.0:
-        raise DomainError("pi must be in (0, 1]")
-    sgn = {"positive": 1.0, "negative": -1.0}.get(direction)
-    if sgn is None:
-        raise DomainError("direction must be 'positive' or 'negative'")
-    return sgn * (1.0 - pi)
 
 
 def tail_comparison(z: float, n_minus_p: int) -> dict:

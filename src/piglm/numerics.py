@@ -174,21 +174,6 @@ class MixtureModel1D:
     def count(self) -> int:
         return len(self.weights)
 
-    @property
-    def components(self):
-        return list(zip(self.weights.tolist(), self.means.tolist(), self.sds.tolist()))
-
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)[..., None]
-        comp = (
-            np.log(self.weights)
-            - 0.5 * ((x - self.means) / self.sds) ** 2
-            - np.log(self.sds)
-            - 0.5 * math.log(2.0 * math.pi)
-        )
-        out = special.logsumexp(comp, axis=-1)
-        return out if np.ndim(out) else float(out)
-
 
 def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
     """EM on a batch of starting points simultaneously.

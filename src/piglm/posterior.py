@@ -1,9 +1,10 @@
 """Bayesian posterior machinery for GLM coefficients.
 
 Covers the Gaussian/multivariate-t large-sample posterior with its scale
-marginal, empirical-Bayes plug-in, exact low-dimensional grid posteriors under
-arbitrary priors, impropriety detection, a random-walk Metropolis sampler, and
-the normalized-likelihood density used to cross-check the two routes.
+marginal, empirical-Bayes plug-in scale, exact low-dimensional grid posteriors
+under arbitrary priors with their tail-decay impropriety test, a random-walk
+Metropolis sampler, and the normalized-likelihood density used to cross-check
+the two routes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "laplace_posterior",
     "vectorized_loglik",
     "grid_posterior",
-    "detect_impropriety",
     "rw_metropolis",
     "p_formula_density",
 ]
@@ -118,8 +118,7 @@ class ScaleMarginal:
 class LaplaceResult:
     beta_posterior: LaplacePosterior
     scale_marginal: Optional[ScaleMarginal]
-    plugin: LaplacePosterior       # empirical-Bayes normal at phi_MAP
-    phi_map: float
+    phi_map: float                 # empirical-Bayes plug-in scale
 
 
 def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
@@ -133,8 +132,8 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
     (D/dof) * cov_unscaled: integrating phi out of
     phi^(-n/2 - k) * exp(-(D + q)/(2 phi)), with k = 1 (jeffreys) or 0
     (uniform), leaves (D + q)^(-(dof + p)/2) (Gelman et al., Bayesian Data
-    Analysis, 3rd ed., sec. 14.2). The empirical-Bayes plug-in replaces the
-    scale marginal by a point mass at phi_MAP = D/(n-p).
+    Analysis, 3rd ed., sec. 14.2). The empirical-Bayes plug-in scale
+    phi_MAP = D/(n-p) (1 for fixed-scale families) is returned beside them.
     """
     family = _resolve_family(family)
     if fit.boundary:
@@ -142,8 +141,7 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
     if not fit.converged:
         raise BoundaryError("posterior unavailable for a non-converged fit")
     if family.known_scale:
-        post = LaplacePosterior(fit.beta_hat, fit.cov_unscaled)
-        return LaplaceResult(post, None, post, 1.0)
+        return LaplaceResult(LaplacePosterior(fit.beta_hat, fit.cov_unscaled), None, 1.0)
     n, p = fit.n, fit.p
     kind = scale_prior.kind if scale_prior is not None else "jeffreys"
     dof = (n - p) if kind == "jeffreys" else (n - p - 2)
@@ -152,8 +150,7 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
     phi_map = fit.deviance / (n - p)
     marginal = ScaleMarginal.from_deviance(fit.deviance, dof)
     beta_post = LaplacePosterior(fit.beta_hat, marginal.scale * fit.cov_unscaled, dof)
-    plugin = LaplacePosterior(fit.beta_hat, phi_map * fit.cov_unscaled)
-    return LaplaceResult(beta_post, marginal, plugin, phi_map)
+    return LaplaceResult(beta_post, marginal, phi_map)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,19 +299,19 @@ def _mass_below(grid: np.ndarray, dens: np.ndarray, x0: float) -> float:
     return min(max(lower, 0.0), 1.0)
 
 
-def _flat_tail(drop: float, slope: float) -> bool:
-    """Tail-flatness rule of both tests: above 1e-10 x peak, slope under 0.05 per unit."""
-    return drop > math.log(1e-10) and slope < 0.05
-
-
 def _grid_tail_improper(axis: np.ndarray, log_marg: np.ndarray) -> bool:
-    """Tail-decay test on a gridded marginal: flat, non-negligible tails."""
+    """Tail-decay test on a gridded marginal: an end of the axis whose log
+    density is above 1e-10 x peak and whose slope is under 0.05 per unit.
+
+    Heavy but integrable tails (a Cauchy's at |beta| = 30) pass by the slope.
+    """
     peak = np.max(log_marg)
     h = axis[1] - axis[0]
     for end, prev in ((0, 1), (-1, -2)):
         if not (np.isfinite(log_marg[end]) and np.isfinite(log_marg[prev])):
             continue               # underflowed tail decays plenty fast
-        if _flat_tail(log_marg[end] - peak, abs(log_marg[end] - log_marg[prev]) / h):
+        slope = abs(log_marg[end] - log_marg[prev]) / h
+        if log_marg[end] - peak > math.log(1e-10) and slope < 0.05:
             return True
     return False
 
@@ -400,34 +397,6 @@ def _trapezoid(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     t *= np.diff(x).reshape([-1 if j == axis else 1 for j in range(y.ndim)])
     t /= 2.0
     return t.sum(axis)
-
-
-def detect_impropriety(marginal_loglik: Callable, direction: str = "both"):
-    """Flag a univariate log density whose tail fails to decay.
-
-    A tail is divergent-looking when its value at |beta| = 30 is above
-    1e-10 x peak *and* the local log-density slope there is below 0.05 per
-    unit (``_flat_tail``), measured between |beta| = 29 and 30. Heavy but
-    integrable tails (e.g. Cauchy) pass via the slope test.
-    """
-    sides = {"left": (-1.0,), "right": (1.0,), "both": (-1.0, 1.0)}.get(direction)
-    if sides is None:
-        raise DomainError("direction must be left/right/both")
-    grid = np.linspace(-40.0, 40.0, 3201)
-    vals = np.array([float(marginal_loglik(float(b))) for b in grid])
-    peak = float(np.max(vals))
-    evidence = []
-    improper = False
-    for sgn in sides:
-        f30 = float(marginal_loglik(sgn * 30.0))
-        f29 = float(marginal_loglik(sgn * 29.0))
-        side = "left" if sgn < 0 else "right"
-        evidence.append(
-            f"{side} tail: log-density {f30 - peak:.3f} below peak, slope {abs(f30 - f29):.4f}/unit"
-        )
-        if _flat_tail(f30 - peak, abs(f30 - f29)):
-            improper = True
-    return {"improper": improper, "evidence": "; ".join(evidence)}
 
 
 @dataclasses.dataclass(frozen=True)

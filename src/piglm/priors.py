@@ -4,31 +4,29 @@ Three kernels (a fixed-sd Gaussian, and the Gaussian mixed over a uniform or an
 inverse-chi-square prior sd) each give a "test" prior, centered on a single
 reference coefficient value and evaluated from the kernel's log density, and an
 "explore" prior, which spreads that center uniformly over a finite interval and
-is zero outside it. A flat hypercube prior and two scale priors complete the set.
+is zero outside it. A flat hypercube prior completes the coefficient set; the
+two scale-prior kinds of ``ScalePriorSpec`` set the dof of the scale marginal
+that ``posterior.laplace_posterior`` builds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError, SupportError
-from .glm import _resolve_link
 from .numerics import gauss_legendre, std_normal_cdf, student_t_cdf, student_t_logpdf
 
 __all__ = [
     "PriorSpec",
     "ScalePriorSpec",
-    "FiniteWorldBounds",
-    "finite_world_bounds",
     "prior_logpdf",
     "prior_pdf",
     "local_uniformity_check",
-    "scale_prior_logpdf",
 ]
 
 @dataclasses.dataclass(frozen=True)
@@ -76,58 +74,6 @@ class ScalePriorSpec:
             b = self.bounds
             if not (_is_pair(b) and 0 <= b[0] < b[1] and math.isfinite(b[1])):
                 raise DomainError("uniform_bounded needs finite ordered bounds")
-
-
-@dataclasses.dataclass(frozen=True)
-class FiniteWorldBounds:
-    """Per-parameter admissible intervals plus the joint-prior bookkeeping.
-
-    ``density_const`` is the constant joint density over the hypercube,
-    carrying the 1/p scaling; density_const * p * volume == 1.
-    """
-
-    intervals: Tuple[Tuple[float, float], ...]
-    p: int
-    density_const: float
-
-    @property
-    def volume(self) -> float:
-        v = 1.0
-        for lo, hi in self.intervals:
-            v *= hi - lo
-        return v
-
-
-def finite_world_bounds(link, y_range: Tuple[float, float],
-                        x_ranges: Sequence[Tuple[float, float]], p: int) -> FiniteWorldBounds:
-    """Admissible parameter intervals from the response range.
-
-    The linear predictor must stay within [g(y_min), g(y_max)]; each
-    parameter's interval follows by dividing through its covariate range
-    (intervals of (1, 1) for the intercept). Covariate ranges must exclude 0.
-    """
-    link = _resolve_link(link)
-    y_lo, y_hi = y_range
-    if not y_lo < y_hi:
-        raise DomainError("y_range must be ordered")
-    if len(x_ranges) != p:
-        raise DomainError("need one covariate range per parameter")
-    try:
-        with np.errstate(invalid="raise", divide="raise"):
-            eta_lo = float(link.g(np.asarray(y_lo, dtype=float)))
-            eta_hi = float(link.g(np.asarray(y_hi, dtype=float)))
-    except (ValueError, FloatingPointError):
-        raise DomainError("y_range outside the link's domain") from None
-    if not (math.isfinite(eta_lo) and math.isfinite(eta_hi)):
-        raise DomainError("y_range outside the link's domain")
-    intervals = []
-    for x_lo, x_hi in x_ranges:
-        if x_lo <= 0 <= x_hi:
-            raise DomainError("covariate range used as a divisor must exclude 0")
-        cand = [e / x for e in (eta_lo, eta_hi) for x in (x_lo, x_hi)]
-        intervals.append((min(cand), max(cand)))
-    volume = math.prod(hi - lo for lo, hi in intervals)
-    return FiniteWorldBounds(tuple(intervals), p, 1.0 / (p * volume))
 
 
 # Printed normalization of the sigma-mixture prior; the footnote patch value at
@@ -248,11 +194,3 @@ def local_uniformity_check(spec: PriorSpec, interval: Tuple[float, float],
     mx = dens.max()
     return float((mx - dens.min()) / mx)
 
-
-def scale_prior_logpdf(spec: ScalePriorSpec, phi: float) -> float:
-    if not phi > 0:
-        raise DomainError("phi must be positive")
-    if spec.kind == "jeffreys":
-        return -math.log(phi)
-    lo, hi = spec.bounds
-    return 0.0 if lo <= phi <= hi else -math.inf

@@ -1,11 +1,12 @@
-"""Replication machinery: predictive posteriors, the replicate p-value density,
+"""Replication machinery: the predictive pi-value, the replicate p-value density,
 and a hierarchical Monte Carlo harness that re-runs the analysis on simulated
 replicate studies.
 
 Under exact replication with a well-estimated scale, the predictive posterior
-for the replicate-study coefficient is N(beta_init, 3 Sigma_init) and the
-replicate ML estimator is marginally N(beta_init, 2 Sigma_init); the induced
-density of the replicate -log10 p follows in closed form.
+for the replicate-study coefficient is N(beta_init, 3 Sigma_init), which gives
+``predictive_pi``, and the replicate ML estimator is marginally
+N(beta_init, 2 Sigma_init); the induced density of the replicate -log10 p
+follows in closed form.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .errors import BoundaryError, DomainError, HarnessError
+from .errors import DomainError, HarnessError
 from .glm import FitResult, ModelData, _resolve, fit_irls_batch
 from .inference import pi_value_from_grid
 from .numerics import (RngStream, gauss_legendre, std_normal_cdf, std_normal_logcdf,
                        std_normal_quantile, two_sided_tail)
-from .posterior import LaplacePosterior, grid_posterior, laplace_posterior, vectorized_loglik
+from .posterior import _summed_intercept, grid_posterior, laplace_posterior, vectorized_loglik
 from .priors import PriorSpec, ScalePriorSpec
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "ReplicationConfig",
     "ReplicationReport",
     "RpdCurve",
-    "predictive_posterior",
     "predictive_pi",
     "rpd_pdf",
     "rpd_cdf",
@@ -47,21 +47,6 @@ BAYES_RESOLUTION = 201                          # grid nodes per axis of a repli
 LN10 = math.log(10.0)
 LN2 = math.log(2.0)
 _RPD_HALF_WIDTH = 30.0 * math.sqrt(2.0)
-
-
-def predictive_posterior(fit: FitResult) -> dict:
-    """Predictive distributions for an exact replicate of the fitted study.
-
-    Returns the predictive posterior N(beta_hat, 3 Sigma) for the replicate
-    coefficients and the replicate-estimator marginal N(beta_hat, 2 Sigma),
-    where Sigma = cov_unscaled, the covariance at scale phi = 1.
-    """
-    if fit.boundary or not fit.converged:
-        raise BoundaryError("predictive posterior needs a converged interior fit")
-    return {
-        "predictive": LaplacePosterior(fit.beta_hat, 3.0 * fit.cov_unscaled),
-        "replicate_estimator": LaplacePosterior(fit.beta_hat, 2.0 * fit.cov_unscaled),
-    }
 
 
 def predictive_pi(pi_init: float) -> float:
@@ -93,6 +78,14 @@ def _c_of_x(x):
     return np.asarray(special.ndtri_exp(-np.asarray(x, dtype=float) * LN10 - LN2))
 
 
+def _log10p_values(log10p):
+    """``log10p`` as a 1-d array, and whether it came in as a scalar; each value must be >= 0."""
+    x = np.asarray(log10p, dtype=float)
+    if np.any(x < 0):
+        raise DomainError("log10p must be >= 0")
+    return np.atleast_1d(x), x.ndim == 0
+
+
 def rpd_pdf(log10p, pi_init: float):
     """Density of x = -log10 of the replicate two-sided p-value.
 
@@ -101,11 +94,7 @@ def rpd_pdf(log10p, pi_init: float):
     sd sqrt(2)).
     """
     _check_pi_init(pi_init)
-    x = np.asarray(log10p, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < 0):
-        raise DomainError("log10p must be >= 0")
+    x, scalar = _log10p_values(log10p)
     c = _c_of_x(x)
     t = std_normal_quantile(pi_init / 2.0)
     sd = math.sqrt(2.0)
@@ -119,9 +108,7 @@ def rpd_pdf(log10p, pi_init: float):
 def rpd_cdf(log10p, pi_init: float):
     """P(-log10 p_rep <= x), closed two-term normal-CDF form."""
     _check_pi_init(pi_init)
-    x = np.asarray(log10p, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    x, scalar = _log10p_values(log10p)
     c = _c_of_x(x)
     t = _z_init(pi_init)
     sd = math.sqrt(2.0)
@@ -342,13 +329,27 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     coefficients off the family's means, "simulation overflow" when the
     sampler cannot draw a response, "too few events", "fit error" when IRLS
     took no step, "boundary", "non-convergence"), counted in
-    ``failure_counts`` and excluded from summaries.
+    ``failure_counts`` and excluded from summaries. A Bayes analysis whose
+    target is the intercept that its grid sums out (see
+    ``posterior.grid_posterior``) has no pi-value, and raises ``DomainError``
+    before anything is simulated.
     """
     family, link = _resolve(family, link)
     post = laplace_posterior(initial, config.scale_prior, family)     # checks fit and dof
     j = config.target_index
     if not -data.p <= j < data.p:
         raise DomainError(f"target_index {j} out of range for p = {data.p}")
+    bayes = []                                      # (summary key, per-parameter priors)
+    for tag in config.analyses:
+        if tag != "ml":
+            key, prior = _bayes_prior(tag)
+            priors = [None] * data.p
+            priors[j] = prior
+            summed = _summed_intercept(vectorized_loglik(family, link, data), priors)
+            if summed is not None and summed.index == j % data.p:
+                raise DomainError(f"target_index {j} is the intercept that the {key} grid "
+                                  "sums out; it has no marginal")
+            bayes.append((key, priors))
     beta_g, phi_g, y, reasons = _simulate(family, link, data, initial, post.scale_marginal, config)
     kept = np.flatnonzero(reasons == "")
     bf = fit_irls_batch(family, link, y[kept], data.X, data.offset, data.weights)
@@ -363,12 +364,9 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
         results["ml_estimates"] = bf.beta_hat[ok]
         results["ml_p"] = two_sided_tail(bf.beta_hat[ok], np.sqrt(
             phi[:, None] * np.diagonal(bf.cov_unscaled[ok], axis1=1, axis2=2)))
-    bayes = [_bayes_prior(tag) for tag in config.analyses if tag != "ml"]
     bounds = [(b - 8.0 * s, b + 8.0 * s)
               for b, s in zip(initial.beta_hat, initial.se(post.phi_map))]
-    for key, prior in bayes:
-        priors = [None] * data.p
-        priors[j] = prior
+    for key, priors in bayes:
         pis = results[f"{key}_pi"] = []
         for i, phi_r in zip(kept, phi):
             ll = vectorized_loglik(family, link, ModelData(y=y[i], X=data.X, offset=data.offset,

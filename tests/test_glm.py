@@ -138,8 +138,7 @@ class TestBoundary:
 class TestScaleEstimates:
     def test_gaussian_intercept_only_identities(self):
         data = ModelData(y=np.array([1.0, 2.0, 3.0]), X=np.ones((3, 1)))
-        fit = fit_irls("gaussian", "identity", data)
-        est = pg.scale_estimates("gaussian", "identity", data, fit)
+        est = fit_irls("gaussian", "identity", data).scale
         assert est.phi_mom == pytest.approx(1.0, abs=1e-12)
         assert est.phi_eql == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert est.phi_dev == pytest.approx(1.0, abs=1e-12)
@@ -242,11 +241,9 @@ class TestScaleEstimates:
         assert fit.scale.phi_mpl == pytest.approx(math.exp(res.x), rel=1e-7)
         assert fit.scale.phi_mpl == pytest.approx(phi, rel=0.1)
 
-    def test_saturated_model_raises(self):
+    def test_saturated_model_has_no_scale(self):
         data = ModelData(y=np.array([1.0, 2.0]), X=np.eye(2))
-        fit = fit_irls("gaussian", "identity", data)
-        with pytest.raises(pg.DegreesOfFreedomError):
-            pg.scale_estimates("gaussian", "identity", data, fit)
+        assert fit_irls("gaussian", "identity", data).scale is None
 
 
 class TestFamilySimulate:

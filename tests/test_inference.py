@@ -7,7 +7,6 @@ from scipy import stats
 
 import piglm as pg
 from piglm.inference import (
-    direction_estimate,
     pi_value_analytic,
     pi_value_from_grid,
     pi_value_from_samples,
@@ -53,6 +52,12 @@ class TestWald:
         data, fit = credence_primary
         with pytest.raises(pg.DomainError):
             wald_pvalue(fit, 1.0, 5)
+
+    @pytest.mark.parametrize("phi", [0.0, -1.0])
+    def test_scale_validation(self, credence_primary, phi):
+        data, fit = credence_primary
+        with pytest.raises(pg.DomainError, match="phi must be positive"):
+            wald_pvalue(fit, phi, 1)
 
 
 class TestPiValue:
@@ -202,18 +207,6 @@ def test_index_rule_on_every_pi_route(route, credence_primary):
             pi_of(j)
     assert pi_of(-1) == pi_of(1)
     assert pi_of(-2) == pi_of(0)
-
-
-class TestDirection:
-    def test_signed_complement(self):
-        assert direction_estimate(0.04, "negative") == pytest.approx(-0.96)
-        assert direction_estimate(1.0, "positive") == 0.0
-
-    def test_validation(self):
-        with pytest.raises(pg.DomainError):
-            direction_estimate(0.0, "positive")
-        with pytest.raises(pg.DomainError):
-            direction_estimate(0.5, "sideways")
 
 
 class TestTailComparison:

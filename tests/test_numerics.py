@@ -165,13 +165,12 @@ class TestMixture:
         assert path[-1][0] == ll_end
         assert all(b >= a - 1e-9 for (a, _), (b, _) in zip(path, path[1:]))
 
-    def test_logpdf_matches_quadrature_mass(self, rng):
-        from scipy import integrate
-
-        x = rng.normal(0.0, 1.0, 2000)
+    def test_tail_masses_sum_to_one(self, rng):
+        # the weights of a fitted mixture sum to 1, so its two tails do too
+        x = np.concatenate([rng.normal(-1.0, 0.4, 1000), rng.normal(1.0, 0.4, 1000)])
         model = pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(1, 4))
-        val, _ = integrate.quad(lambda t: math.exp(model.logpdf(t)), -np.inf, np.inf)
-        assert val == pytest.approx(1.0, abs=1e-8)
+        assert model.count > 1
+        assert sum(pg.mixture_tails(model)) == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_pi_single_component_closed_form(self, rng):
         x = rng.normal(2.0, 1.0, 4000)

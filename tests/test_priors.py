@@ -9,43 +9,6 @@ from piglm.priors import KINDS, PriorSpec, ScalePriorSpec, _uniform_sigma_logpdf
     prior_logpdf, prior_pdf
 
 
-class TestFiniteWorldBounds:
-    def test_log_link_intervals_by_hand(self):
-        # linear predictor confined to [log 0.1, log 10]; intercept range is the
-        # interval itself, the slope interval is divided by the covariate range
-        fw = pg.finite_world_bounds("log", (0.1, 10.0), [(1.0, 1.0), (1.0, 2.0)], 2)
-        lo, hi = math.log(0.1), math.log(10.0)
-        assert fw.intervals[0] == pytest.approx((lo, hi))
-        assert fw.intervals[1] == pytest.approx((lo, hi))  # lo/1 .. hi/1 dominates
-        vol = (hi - lo) ** 2
-        assert fw.density_const == pytest.approx(1.0 / (2 * vol), rel=1e-12)
-        # bookkeeping identity: const * p * volume == 1
-        assert fw.density_const * fw.p * fw.volume == pytest.approx(1.0, rel=1e-12)
-
-    def test_covariate_range_through_zero_rejected(self):
-        with pytest.raises(pg.DomainError):
-            pg.finite_world_bounds("log", (0.1, 10.0), [(-1.0, 1.0)], 1)
-
-    @pytest.mark.parametrize("x_range", [(0.0, 2.0), (-2.0, 0.0), (0.0, 0.0)])
-    def test_covariate_range_touching_zero_rejected(self, x_range):
-        with pytest.raises(pg.DomainError):
-            pg.finite_world_bounds("log", (0.1, 10.0), [x_range], 1)
-
-    def test_negative_covariate_range_divides(self):
-        fw = pg.finite_world_bounds("log", (0.1, 10.0), [(-2.0, -1.0)], 1)
-        hi = math.log(10.0)
-        assert fw.intervals[0] == pytest.approx((-hi, hi))
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_y_range_outside_link_domain(self):
-        with pytest.raises(pg.DomainError):
-            pg.finite_world_bounds("log", (-1.0, 10.0), [(1.0, 1.0)], 1)
-
-    def test_unknown_link(self):
-        with pytest.raises(pg.DomainError, match="unknown link 'probit'"):
-            pg.finite_world_bounds("probit", (0.1, 0.9), [(1.0, 1.0)], 1)
-
-
 class TestKernels:
     def test_gaussian_center_kernel_normalized(self):
         spec = PriorSpec("test_fixed_sigma", beta0=2.0, sigma=3.0)
@@ -215,22 +178,11 @@ class TestLocalUniformity:
 
 
 class TestScalePrior:
-    def test_reciprocal(self):
-        spec = ScalePriorSpec("jeffreys")
-        assert pg.scale_prior_logpdf(spec, 2.0) == pytest.approx(-math.log(2.0))
-
-    def test_bounded_uniform(self):
-        spec = ScalePriorSpec("uniform_bounded", bounds=(0.5, 2.0))
-        assert pg.scale_prior_logpdf(spec, 1.0) == 0.0
-        assert pg.scale_prior_logpdf(spec, 3.0) == -np.inf
-
     def test_validation(self):
         with pytest.raises(pg.DomainError):
             ScalePriorSpec("uniform_bounded")
         with pytest.raises(pg.DomainError):
             ScalePriorSpec("uniform_bounded", bounds=(1.0,))
-        with pytest.raises(pg.DomainError):
-            pg.scale_prior_logpdf(ScalePriorSpec("jeffreys"), 0.0)
 
 
 class TestSpecValidation:

@@ -12,7 +12,6 @@ from piglm.replication import (
     ReplicationConfig,
     TranslationKernel,
     predictive_pi,
-    predictive_posterior,
     rpd_cdf,
     rpd_curve,
     rpd_median,
@@ -23,18 +22,6 @@ from piglm.replication import (
 
 
 class TestPredictive:
-    def test_covariance_inflation_factors(self, credence_primary):
-        data, fit = credence_primary
-        out = predictive_posterior(fit)
-        assert out["predictive"].cov == pytest.approx(3.0 * fit.cov_unscaled, rel=1e-12)
-        assert out["replicate_estimator"].cov == pytest.approx(2.0 * fit.cov_unscaled, rel=1e-12)
-        assert out["predictive"].mean == pytest.approx(fit.beta_hat)
-
-    def test_boundary_rejected(self, dapa_dka):
-        data, fit = dapa_dka
-        with pytest.raises(pg.BoundaryError):
-            predictive_posterior(fit)
-
     def test_frozen_mapping_values(self):
         assert predictive_pi(3.23e-5) == pytest.approx(0.016403054208182919, rel=1e-10)
         assert predictive_pi(7.79e-8) == pytest.approx(0.00192554, abs=1e-7)
@@ -105,10 +92,12 @@ class TestReplicatePValueDensity:
         assert np.all(np.diff(c.cdf) >= -1e-12)
 
     def test_validation(self):
-        with pytest.raises(pg.DomainError):
-            rpd_pdf(-0.5, 0.01)
-        with pytest.raises(pg.DomainError):
-            rpd_pdf(1.0, 0.0)
+        for f in (rpd_pdf, rpd_cdf):
+            for x in (-0.5, np.array([1.0, -0.5])):
+                with pytest.raises(pg.DomainError, match="log10p"):
+                    f(x, 0.01)
+            with pytest.raises(pg.DomainError):
+                f(1.0, 0.0)
 
 
 def _rpd_moments_by_quad(pi0):
@@ -474,9 +463,31 @@ class TestHarness:
                                     target_index=bad)
             with pytest.raises(pg.DomainError, match="target_index"):
                 run_replication(fit, "poisson", "log", data, cfg)
-        for good in (-2, 1):
+        # the flat grid sums the intercept (index -2) out; the test below covers that
+        for good in (-2, 1) if analyses == ("ml",) else (-1, 1):
             cfg = ReplicationConfig(n_sim=100, seed=pg.RngStream(4), analyses=analyses,
                                     target_index=good)
+            with pytest.raises(RuntimeError, match="replicate simulated"):
+                run_replication(fit, "poisson", "log", data, cfg)
+
+    @pytest.mark.parametrize("target_index", [0, -2])
+    def test_summed_intercept_target_rejected_before_simulation(self, credence_primary,
+                                                                 monkeypatch, target_index):
+        # a flat Bayes grid on a poisson/log model sums its intercept out, so
+        # that target has no pi-value: the config fails before any replicate is drawn
+        data, fit = credence_primary
+
+        def no_simulation(*args, **kwargs):
+            raise RuntimeError("replicate simulated")
+
+        monkeypatch.setattr(replication, "_simulate", no_simulation)
+        cfg = ReplicationConfig(n_sim=100, seed=pg.RngStream(4), analyses=("ml", "bayes_flat"),
+                                target_index=target_index)
+        with pytest.raises(pg.DomainError, match="intercept"):
+            run_replication(fit, "poisson", "log", data, cfg)
+        # a proper prior on the target keeps the intercept on the grid
+        for analyses in (("ml",), (("bayes_student_t", 2.5, 1.0),)):
+            cfg = dataclasses.replace(cfg, analyses=analyses)
             with pytest.raises(RuntimeError, match="replicate simulated"):
                 run_replication(fit, "poisson", "log", data, cfg)
 
