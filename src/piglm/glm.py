@@ -318,7 +318,6 @@ def _loglik_points(family: Family, link: LinkFn, data: ModelData, betas: np.ndar
 
     The linear predictor is laid out (n, m), with the points on the contiguous
     axis, so the domain test and the sum over observations run along axis 0.
-    ``data`` may also be a ``_RowGroup``: only its y, X, offset and weights are read.
     """
     eta = data.X @ betas.T + data.offset[:, None]
     mu = link.ginv(eta)
@@ -332,82 +331,32 @@ def _loglik_points(family: Family, link: LinkFn, data: ModelData, betas: np.ndar
     return out
 
 
-# Nodes per _loglik_points call on a grid, so that the kernel's (n, nodes)
-# temporaries stay cache-sized: at 801^2, 2^14 and 2^16 tie as the fastest of
-# 2^12 to 2^20, and 2^20 takes 1.7 times as long.
+# Nodes per node-function call in _slab_grid, so that the (n, nodes)
+# temporaries stay cache-sized: on a full 801^2 poisson grid, 2^14 and 2^16 tie
+# as the fastest of 2^12 to 2^20, and 2^20 takes 1.5 times as long.
 _GRID_SLAB_POINTS = 1 << 14
 
 
-@dataclasses.dataclass(frozen=True)
-class _RowGroup:
-    """Observations whose design rows touch the grid axes ``axes``, X cut to those columns."""
+def _slab_grid(node_fn: Callable[[np.ndarray], np.ndarray], axes) -> np.ndarray:
+    """``node_fn`` at every node of the rectangular grid on ``axes``, shaped by the axes.
 
-    axes: tuple
-    y: np.ndarray
-    X: np.ndarray
-    offset: np.ndarray
-    weights: np.ndarray
-
-
-def _row_groups(data: ModelData) -> list:
-    """The leading run of rows that touch the same axes (X[i, j] != 0), then each later row alone.
-
-    Added in this order, the groups sum every node's rows in row order, as
-    ``_loglik_points`` does; grouping rows by axes set alone would reorder that sum.
+    ``node_fn`` maps an (m, k) node array to its m values; it is called on
+    slabs of ``_GRID_SLAB_POINTS`` nodes along the first axis.
     """
-    touched = (data.X != 0).tolist()
-    k = 1
-    while k < data.n and touched[k] == touched[0]:
-        k += 1
-    groups = []
-    for a, b in [(0, k)] + [(i, i + 1) for i in range(k, data.n)]:
-        axes = [j for j, t in enumerate(touched[a]) if t]
-        groups.append(_RowGroup(tuple(axes), data.y[a:b], data.X[a:b, axes],
-                                data.offset[a:b], data.weights[a:b]))
-    return groups
-
-
-def _loglik_grid(family: Family, link: LinkFn, data: ModelData, axes, phi: float) -> np.ndarray:
-    """Log likelihood at every node of the rectangular grid on ``axes``, shaped by the axes.
-
-    The values of ``_loglik_points`` at ``_grid_nodes(axes)``, but each row
-    group runs on the nodes of its own axes only, in slabs of
-    ``_GRID_SLAB_POINTS`` along the first of them, and is broadcast-added into
-    the grid in row order.
-    """
-    out = np.zeros([len(a) for a in axes])
-    for g in _row_groups(data):
-        sub = [axes[j] for j in g.axes]
-        if not sub:                 # offset only: one value for the whole grid
-            out += _loglik_points(family, link, g, np.empty((1, 0)), phi)[0]
-            continue
-        step = max(1, _GRID_SLAB_POINTS // math.prod(len(a) for a in sub[1:]))
-        shape = [-1 if j == g.axes[0] else len(axes[j]) if j in g.axes else 1
-                 for j in range(len(axes))]
-        lead = (slice(None),) * g.axes[0]
-        for s in range(0, len(sub[0]), step):
-            nodes = _grid_nodes((sub[0][s:s + step], *sub[1:]))
-            out[lead + (slice(s, s + step),)] += _loglik_points(family, link, g, nodes,
-                                                                phi).reshape(shape)
+    out = np.empty([len(a) for a in axes])
+    step = max(1, _GRID_SLAB_POINTS // math.prod(out.shape[1:]))
+    for s in range(0, len(axes[0]), step):
+        out[s:s + step] = node_fn(_grid_nodes((axes[0][s:s + step], *axes[1:]))).reshape(
+            -1, *out.shape[1:])
     return out
 
 
 def _summed_loglik_grid(family: Family, data: ModelData, axes, k: int):
-    """Log likelihood summed out over the flat intercept column ``k``, on the other axes.
-
-    The values of ``family.summed_intercept`` at every node of the grid on
-    ``axes`` without axis ``k``, shaped by those axes, in slabs of
-    ``_GRID_SLAB_POINTS`` nodes along the first of them.
-    """
+    """Log likelihood with the flat intercept column ``k`` summed out, on the other axes' grid."""
     rest = [j for j in range(len(axes)) if j != k]
-    X, sub = data.X[:, rest], [axes[j] for j in rest]
-    out = np.empty([len(a) for a in sub])
-    step = max(1, _GRID_SLAB_POINTS // math.prod(len(a) for a in sub[1:]))
-    for s in range(0, len(sub[0]), step):
-        eta = X @ _grid_nodes((sub[0][s:s + step], *sub[1:])).T + data.offset[:, None]
-        out[s:s + step] = family.summed_intercept(data.y, eta, data.weights)[2].reshape(
-            -1, *out.shape[1:])
-    return out
+    X = data.X[:, rest]
+    return _slab_grid(lambda nodes: family.summed_intercept(
+        data.y, X @ nodes.T + data.offset[:, None], data.weights)[2], [axes[j] for j in rest])
 
 
 def _mu_from_beta(family: Family, link: LinkFn, beta, data: ModelData):
@@ -710,6 +659,8 @@ def likelihood_surface(family, link, data: ModelData, fit: FitResult,
         raise DomainError("likelihood_surface requires exactly two parameters")
     if fit.boundary and anchor is None:
         raise DomainError("boundary fit: supply an anchor point for the surface")
+    if not all(0.0 < h < math.inf for h in half_widths):
+        raise DomainError("surface half-widths must be finite and positive")
     center = np.asarray(anchor if anchor is not None else fit.beta_hat, dtype=float)
     mu, _ = _mu_from_beta(family, link, center, data)
     W = data.weights / (family.variance(mu) * link.gprime(mu) ** 2)
@@ -717,7 +668,7 @@ def likelihood_surface(family, link, data: ModelData, fit: FitResult,
     se = np.sqrt(np.diag(np.linalg.inv(info)))
     g0 = np.linspace(center[0] - half_widths[0] * se[0], center[0] + half_widths[0] * se[0], resolution)
     g1 = np.linspace(center[1] - half_widths[1] * se[1], center[1] + half_widths[1] * se[1], resolution)
-    ll = _loglik_grid(family, link, data, (g0, g1), 1.0)
+    ll = _slab_grid(lambda nodes: _loglik_points(family, link, data, nodes, 1.0), (g0, g1))
     ll0 = log_likelihood(family, link, center, 1.0, data)
     diffs0 = g0[:, None] - center[0]
     diffs1 = g1[None, :] - center[1]

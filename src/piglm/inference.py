@@ -112,6 +112,8 @@ def pi_value_from_samples(samples: Sequence[float], beta0: float = 0.0,
     n = x.size
     if n == 0:
         raise DomainError("no samples")
+    if not np.isfinite(x).all():
+        raise DomainError("samples must be finite")
     z = (float(x.mean()) - beta0) / float(x.std()) if x.std() > 0 else 0.0
     if method == "empirical":
         frac_ge = float(np.mean(x >= beta0))

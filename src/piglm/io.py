@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .glm import ModelData
 
 __all__ = [
@@ -102,6 +102,8 @@ def trial_model_data(records: Sequence[TrialRecord], study: str, outcome: str,
     Offsets are log(exposure / exposure_scale); arms lacking exposure fall
     back to arm size (flagged in the returned metadata).
     """
+    if not 0.0 < exposure_scale < math.inf:
+        raise DomainError("exposure_scale must be finite and positive")
     rows = [r for r in records if r.study == study and r.outcome == outcome]
     if not rows:
         raise ParseError(f"no rows for study={study!r} outcome={outcome!r}")

@@ -27,10 +27,10 @@ from .glm import (
     FitResult,
     LinkFn,
     ModelData,
-    _loglik_grid,
     _loglik_points,
     _resolve,
     _resolve_family,
+    _slab_grid,
     _summed_loglik_grid,
 )
 from .numerics import RngStream, std_normal_cdf, student_t_cdf
@@ -173,7 +173,7 @@ class VectorizedLoglik:
 
     def grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Values at the nodes of the grid on ``axes``, shaped (len(axes[0]), len(axes[1]), ...)."""
-        return _loglik_grid(self.family, self.link, self.data, axes, self.phi)
+        return _slab_grid(self, axes)
 
 
 def vectorized_loglik(family, link, data: ModelData, phi: float = 1.0) -> VectorizedLoglik:
@@ -356,6 +356,8 @@ def grid_posterior(loglik: VectorizedLoglik, priors: Sequence[Optional[PriorSpec
         raise DomainError("grid posterior supports 1 <= p <= 3")
     if len(priors) != p:
         raise DomainError("need one prior (or None) per parameter")
+    if resolution < 2 or not all(-math.inf < lo < hi < math.inf for lo, hi in bounds):
+        raise DomainError("grid posterior needs finite bounds lo < hi and resolution >= 2")
     if not isinstance(loglik, VectorizedLoglik):
         raise DomainError("grid posterior needs the log likelihood from vectorized_loglik, "
                           f"not {type(loglik).__name__}")

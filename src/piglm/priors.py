@@ -62,18 +62,13 @@ class PriorSpec:
 
 @dataclasses.dataclass(frozen=True)
 class ScalePriorSpec:
-    """Scale-parameter prior: 'jeffreys' (1/phi) or 'uniform_bounded'."""
+    """Scale-parameter prior: 'jeffreys' (1/phi) or 'uniform' (flat on (0, inf))."""
 
     kind: str
-    bounds: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
-        if self.kind not in ("jeffreys", "uniform_bounded"):
+        if self.kind not in ("jeffreys", "uniform"):
             raise DomainError(f"unknown scale prior {self.kind!r}")
-        if self.kind == "uniform_bounded":
-            b = self.bounds
-            if not (_is_pair(b) and 0 <= b[0] < b[1] and math.isfinite(b[1])):
-                raise DomainError("uniform_bounded needs finite ordered bounds")
 
 
 # Printed normalization of the sigma-mixture prior; the footnote patch value at
@@ -187,6 +182,8 @@ def local_uniformity_check(spec: PriorSpec, interval: Tuple[float, float],
                            resolution: int = 1001) -> float:
     """Max relative deviation (max - min)/max of the density over the interval."""
     lo, hi = interval
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError("local uniformity check needs a finite interval lo < hi")
     grid = np.linspace(lo, hi, resolution)
     dens = np.asarray(prior_pdf(spec, grid), dtype=float)
     if np.any(dens <= 0.0):

@@ -183,6 +183,8 @@ def rpd_curve(pi_init: float, cap: float = 30.0, resolution: int = 2001) -> RpdC
     ``cap`` sets the tabulation range only; the moments come from
     ``rpd_moments``, which take the whole replicate distribution.
     """
+    if not 0.0 < cap < math.inf:
+        raise DomainError("rpd cap must be finite and positive")
     grid = np.linspace(0.0, cap, resolution)
     pdf = rpd_pdf(grid, pi_init)
     cdf = rpd_cdf(grid, pi_init)

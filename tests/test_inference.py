@@ -185,6 +185,16 @@ class TestPiValue:
         with pytest.raises(pg.DomainError):
             pi_value_from_samples([])
 
+    @pytest.mark.parametrize("method", ["empirical", "mixture"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples(self, rng, method, bad):
+        x = rng.normal(1.0, 1.0, 2000)
+        x[7] = bad
+        with pytest.raises(pg.DomainError, match="finite"):
+            pi_value_from_samples(x, method=method)
+        with pytest.raises(pg.DomainError, match="finite"):
+            pi_value_from_samples([bad] * 10)
+
 
 @pytest.mark.parametrize("route", ["wald", "analytic", "grid"])
 def test_index_rule_on_every_pi_route(route, credence_primary):

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ class TestModelAssembly:
     def test_unknown_selection(self, trial_records):
         with pytest.raises(pg.ParseError):
             pg.trial_model_data(trial_records, "NOPE", "primary")
+
+    @pytest.mark.parametrize("scale", [0.0, -1000.0, math.nan, math.inf])
+    def test_exposure_scale_must_be_finite_and_positive(self, trial_records, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # refused before np.log can warn
+            with pytest.raises(pg.DomainError, match="exposure_scale"):
+                pg.trial_model_data(trial_records, "CREDENCE", "primary", exposure_scale=scale)
 
 
 class TestSerialization:
@@ -335,6 +343,23 @@ class TestSizeLimits:
 def test_surface_without_a_node_near_the_fit_is_a_domain_error(extra, capsys):
     assert main(["surface", *_STUDY, *extra]) == 2
     assert "Mahalanobis distance 2" in capsys.readouterr().err
+
+
+_FIXED_SIGMA = ["priors", "--kind", "test_fixed_sigma", "--sigma", "1"]
+
+
+@pytest.mark.parametrize("args,name", [
+    pytest.param([*cmd, option, value], name, id=f"{cmd[0]}{option}={value}")
+    for cmd, option, name, values in [
+        (["surface", *_STUDY], "--half-width", "half-widths", ["0", "-2", "nan", "inf"]),
+        (_FIXED_SIGMA, "--interval", "interval", ["nan,5", "5,-5", "-inf,5"]),
+        (["rpd", "--pi-init", "0.05"], "--cap", "cap", ["nan", "0", "inf"]),
+        (["fit", *_STUDY], "--exposure-scale", "exposure_scale", ["0", "nan"]),
+    ]
+    for value in values])
+def test_out_of_range_value_is_a_domain_error_naming_it(args, name, capsys):
+    assert main(args) == 2
+    assert name in capsys.readouterr().err
 
 
 class TestImportFloor:

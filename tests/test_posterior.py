@@ -65,10 +65,9 @@ class TestLargeSamplePosterior:
             wald = pg.wald_pvalue(fit, fit.deviance / dof, j, dof=dof)
             assert wald.p_or_pi == pg.pi_value_analytic(post, j).p_or_pi
 
-    def test_bounded_scale_prior_dof(self, gaussian_fit):
+    def test_uniform_scale_prior_dof(self, gaussian_fit):
         data, fit = gaussian_fit
-        res = laplace_posterior(fit, pg.ScalePriorSpec("uniform_bounded", bounds=(0.0, 50.0)),
-                                "gaussian")
+        res = laplace_posterior(fit, pg.ScalePriorSpec("uniform"), "gaussian")
         assert res.beta_posterior.dof == data.n - data.p - 2
 
     def test_boundary_fit_rejected(self, dapa_dka):
@@ -125,10 +124,7 @@ class TestScaleMarginalOracle:
 
     PRIORS = {
         "jeffreys": (pg.ScalePriorSpec("jeffreys"), lambda phi: -np.log(phi)),
-        "uniform_bounded": (
-            pg.ScalePriorSpec("uniform_bounded", bounds=(0.0, 50.0)),
-            lambda phi: np.where(phi <= 50.0, 0.0, -np.inf),
-        ),
+        "uniform": (pg.ScalePriorSpec("uniform"), lambda phi: np.zeros_like(phi)),
     }
 
     @pytest.mark.parametrize("kind", sorted(PRIORS))
@@ -232,9 +228,9 @@ def _dense_design(X, p):
     return np.column_stack([X, extra])[:, :p]
 
 
-# Shapes that end on a partial slab: slabs of 16384 rows of 1 node, 20 rows of
-# 803 and 18 rows of 29 x 31 along axis 0, and 442 rows of 37 along axis 1 for
-# the rows that touch axes 1 and 2 only.
+# Slabs run along axis 0. The first three shapes end on a partial slab: slabs
+# of 16384 rows of 1 node, 20 rows of 803 and 18 rows of 29 x 31. In the
+# last, one row of 803 x 37 nodes is already past 16384, so each slab is one row.
 _ORACLE_SHAPES = [(20001,), (129, 803), (23, 29, 31), (3, 803, 37)]
 
 
@@ -413,6 +409,16 @@ class TestGridPosterior:
     def test_plain_callable_refused(self):
         with pytest.raises(pg.DomainError, match="vectorized_loglik"):
             grid_posterior(lambda b: np.zeros(len(b)), [None], [(-1, 1)])
+
+    @pytest.mark.parametrize("b1,resolution", [
+        ((1.0, -1.0), 801), ((-1.0, -1.0), 801), ((math.nan, 1.0), 801),
+        ((-1.0, math.inf), 801), ((-1.0, 1.0), 1)])
+    def test_bad_bounds_or_resolution_refused(self, credence_primary, b1, resolution):
+        # unchecked, reversed beta_1 bounds give pi = 0 and a NaN bound a "proper" posterior
+        data, _ = credence_primary
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        with pytest.raises(pg.DomainError, match="bounds"):
+            grid_posterior(ll, [None, None], [(-5.0, 5.0), b1], resolution=resolution)
 
     def test_density_is_the_joint_over_its_trapezoid_mass(self, credence_primary):
         # oracle: the log posterior rebuilt from the grid log likelihood and

@@ -179,10 +179,11 @@ class TestLocalUniformity:
 
 class TestScalePrior:
     def test_validation(self):
+        assert ScalePriorSpec("uniform").kind == "uniform"
         with pytest.raises(pg.DomainError):
             ScalePriorSpec("uniform_bounded")
-        with pytest.raises(pg.DomainError):
-            ScalePriorSpec("uniform_bounded", bounds=(1.0,))
+        with pytest.raises(TypeError):
+            ScalePriorSpec("uniform", bounds=(0.0, 50.0))     # the prior has no bounds
 
 
 class TestSpecValidation:

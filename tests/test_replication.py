@@ -300,7 +300,7 @@ class TestHarness:
         data = ModelData(y=y, X=X)
         fit = fit_irls("gaussian", "identity", data)
         dof = n - 4
-        prior = pg.ScalePriorSpec("uniform_bounded", bounds=(0.0, 50.0))
+        prior = pg.ScalePriorSpec("uniform")
         cfg = ReplicationConfig(n_sim=2000, seed=pg.RngStream(10), scale_prior=prior)
         rep = run_replication(fit, "gaussian", "identity", data, cfg)
         phi = np.array([r["phi_g"] for r in rep.records])
