@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -35,54 +32,35 @@ class ClientParams:
     capital: float = 1.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise DomainError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError("epsilon must be positive and finite")
         if not 0.0 < self.epsilon_loss < 1.0:
             raise DomainError("epsilon_loss must be in (0, 1)")
         if not 0.0 <= self.c < 1.0:
             raise DomainError("c must be in [0, 1)")
-        if not self.capital > 0:
-            raise DomainError("capital must be positive")
+        if not 0 < self.capital < math.inf:
+            raise DomainError("capital must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)
 class AnalystParams:
     capital: float
     alpha: float
-    utility: str = "linear"                      # 'linear', 'log', or 'custom'
-    utility_table: Optional[Sequence[Tuple[float, float]]] = None
+    utility: str = "linear"                      # 'linear' or 'log'
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError("alpha must be positive")
-        if self.utility not in ("linear", "log", "custom"):
-            raise DomainError("utility must be linear/log/custom")
+        if not math.isfinite(self.capital):
+            raise DomainError("capital must be finite")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError("alpha must be positive and finite")
+        if self.utility not in ("linear", "log"):
+            raise DomainError("utility must be linear/log")
         if self.utility == "log" and not self.capital - self.alpha > 0:
             raise DomainError("log utility needs capital > alpha")
-        if self.utility == "custom" and not self.utility_table:
-            raise DomainError("custom utility needs a (x, U(x)) table")
 
-    def u(self) -> Callable[[float], float]:
-        if self.utility == "linear":
-            return lambda x: x
-        if self.utility == "log":
-            def _log(x):
-                if x <= 0:
-                    raise DomainError("log utility undefined at x <= 0")
-                return math.log(x)
-            return _log
-        xs, us = zip(*sorted(self.utility_table))
-        from scipy.interpolate import PchipInterpolator
-
-        interp = PchipInterpolator(np.asarray(xs, dtype=float), np.asarray(us, dtype=float))
-        lo, hi = xs[0], xs[-1]
-
-        def _tab(x):
-            if not lo <= x <= hi:
-                raise DomainError("x outside the tabulated utility range")
-            return float(interp(x))
-
-        return _tab
+    def u(self, x: float) -> float:
+        """Utility of wealth x; C - alpha > 0 keeps log utility's arguments positive."""
+        return x if self.utility == "linear" else math.log(x)
 
 
 def pi_critical(client: ClientParams) -> float:
@@ -98,7 +76,7 @@ def pi_critical(client: ClientParams) -> float:
 
 def _cdq(analyst: AnalystParams) -> float:
     """Central difference quotient [U(C+a) - U(C-a)] / (2a)."""
-    u = analyst.u()
+    u = analyst.u
     return (u(analyst.capital + analyst.alpha) - u(analyst.capital - analyst.alpha)) / (
         2.0 * analyst.alpha
     )
@@ -124,7 +102,7 @@ def recalibration_loss(analyst: AnalystParams, pi_crit: float) -> dict:
     Returns both f and the recalibration factor 1 - f. With near-linear
     utility this reduces to g/(g+1) * pi_crit where g = alpha/C.
     """
-    u = analyst.u()
+    u = analyst.u
     u_hi = u(analyst.capital + analyst.alpha)
     if not u_hi > 0:
         raise DomainError("recalibration loss needs U(C + alpha) > 0")

@@ -48,6 +48,7 @@ __all__ = [
 # Estimates beyond this magnitude on the link scale are treated as diverging
 # to the boundary (e.g. a log rate ratio of 15 is e^15 ~ 3e6).
 BOUNDARY_GUARD = 15.0
+IRLS_MAX_ITER = 50                # Fisher-scoring iterations before a row stops unconverged
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
@@ -294,8 +295,6 @@ class FitResult:
     converged: bool
     boundary: bool
     iterations: int
-    family: str
-    link: str
     n: int
     p: int
 
@@ -450,7 +449,7 @@ class BatchFit:
     stepped: np.ndarray        # (R,) bool
 
 
-def fit_irls_batch(family, link, Y, X, offset=None, weights=None, max_iter=50) -> BatchFit:
+def fit_irls_batch(family, link, Y, X, offset=None, weights=None) -> BatchFit:
     """Fisher scoring on every row of a response array Y (R, n) at once.
 
     X (n, p), the offset and the prior weights are shared. Each row follows
@@ -458,7 +457,8 @@ def fit_irls_batch(family, link, Y, X, offset=None, weights=None, max_iter=50) -
     rule and boundary tests; rows leave the active set as they finish.
     Convergence requires both a relative deviance change below 1e-10 and a
     score infinity-norm below 1e-8 (at phi = 1; the scale cancels from the
-    score equations for all four families). Estimates drifting past the
+    score equations for all four families); a row still running after
+    ``IRLS_MAX_ITER`` iterations stops unconverged. Estimates drifting past the
     divergence guard, mean underflow, step-halving failure or a singular
     information matrix set ``boundary`` instead of raising.
     """
@@ -503,7 +503,7 @@ def fit_irls_batch(family, link, Y, X, offset=None, weights=None, max_iter=50) -
     dev = _row_deviance(family, y, mu, w)
     b = np.full((act.size, p), np.nan)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         if act.size == 0:
             break
         gp = link.gprime(mu)
@@ -602,8 +602,6 @@ def fit_irls(family, link, data: ModelData) -> FitResult:
         converged=bool(bf.converged[0]),
         boundary=boundary,
         iterations=int(bf.iterations[0]),
-        family=family.name,
-        link=link.name,
         n=n,
         p=p,
     )

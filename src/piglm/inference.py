@@ -35,8 +35,6 @@ class TailReport:
     p_or_pi: float
     method: str
     dof: Optional[float] = None
-    boundary_warning: bool = False
-    notes: str = ""
 
 
 def _tail_report(lower: float, upper: float, z: float, method: str) -> TailReport:
@@ -67,8 +65,6 @@ def wald_pvalue(fit: FitResult, phi: float, index: int, beta0: float = 0.0,
         p_or_pi=two_sided_tail(beta, se, beta0, dof),
         method="wald_normal" if dof is None else "wald_t",
         dof=dof,
-        boundary_warning=fit.boundary,
-        notes="boundary fit: estimate diverging, p-value unreliable" if fit.boundary else "",
     )
 
 

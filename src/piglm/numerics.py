@@ -35,6 +35,8 @@ __all__ = [
 MIN_MIXTURE_SAMPLES = 1000                      # fewest draws the mixture fit takes
 EM_TOL = 1e-8                                   # relative log-likelihood gain that ends an EM start
 EM_MAX_ITER = 500                               # most EM iterations of one start
+MIXTURE_G_MAX = 5                               # most mixture components tried
+MIXTURE_RESTARTS = 10                           # random EM starts per G, beside the quantile start
 
 
 def std_normal_cdf(x):
@@ -94,11 +96,11 @@ def two_sided_tail(center, scale, beta0=0.0, dof=None):
     return out if out.ndim else float(out)
 
 
-def student_t_logpdf(x, nu, loc=0.0, scale=1.0):
-    """Log density of a location-scale Student-t (nu > 0)."""
+def student_t_logpdf(x, nu, scale=1.0):
+    """Log density of a Student-t (nu > 0) centred at 0 with scale ``scale``."""
     if not nu > 0 or not scale > 0:
         raise DomainError("student_t_logpdf requires nu > 0 and scale > 0")
-    z = (np.asarray(x, dtype=float) - loc) / scale
+    z = np.asarray(x, dtype=float) / scale
     out = (
         special.gammaln((nu + 1.0) / 2.0)
         - special.gammaln(nu / 2.0)
@@ -175,7 +177,7 @@ class MixtureModel1D:
         return len(self.weights)
 
 
-def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
+def _em_batch(x, w, m, s, sd_floor, bar):
     """EM on a batch of starting points simultaneously.
 
     ``w``, ``m``, ``s`` have shape (n_starts, g). The working arrays have
@@ -183,7 +185,7 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
     axis: the E step's log-sum-exp is a max-shift over the short component
     axis (underflow-safe for far-out samples), and the M-step sums run along
     the draws. Each start freezes once its own log likelihood stalls
-    (relative gain below ``tol``), after ``max_iter`` iterations, or, from
+    (relative gain below ``EM_TOL``), after ``EM_MAX_ITER`` iterations, or, from
     iteration 20 on, once it cannot reach ``bar`` (the log likelihood that
     beats the best BIC so far): ll + gain * (iterations left) + 2 < bar, with
     gain its latest step. While its gains do not grow, such a start ends
@@ -200,7 +202,7 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
     active = np.ones(S, dtype=bool)
     barred = np.zeros(S, dtype=bool)
     half_log_2pi = 0.5 * math.log(2.0 * math.pi)
-    for it in range(1, max_iter + 1):
+    for it in range(1, EM_MAX_ITER + 1):
         idx = np.flatnonzero(active)
         # E step: log component densities, then responsibilities, in place
         r = x - m[idx, :, None]
@@ -224,9 +226,9 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
         m[idx] = mk
         s[idx] = np.maximum(np.sqrt(dev.sum(axis=2) / nk), sd_floor)
         gain = ll_new - ll[idx]
-        done = (gain < tol * (np.abs(ll_new) + 1.0)) & (it > 1)
+        done = (gain < EM_TOL * (np.abs(ll_new) + 1.0)) & (it > 1)
         if it >= 20:
-            lost = ll_new + gain * (max_iter - it) + 2.0 < bar
+            lost = ll_new + gain * (EM_MAX_ITER - it) + 2.0 < bar
             barred[idx[lost & ~done]] = True
             done |= lost
         ll[idx] = ll_new
@@ -237,13 +239,13 @@ def _em_batch(x, w, m, s, tol, max_iter, sd_floor, bar):
     return w, m, s, ll, iters, barred
 
 
-def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, stream=None):
-    """Fit unequal-variance Gaussian mixtures for G = 1..g_max, pick best BIC.
+def fit_gaussian_mixture_1d(samples, *, stream=None):
+    """Fit unequal-variance Gaussian mixtures for G = 1..MIXTURE_G_MAX, pick best BIC.
 
     G = 1 is fitted in closed form (mean, population sd, normal log
     likelihood; ``n_iter`` 1). Each G > 1 runs EM (``_em_batch``) from
     quantile-spaced means with pooled sd and equal weights, plus
-    ``n_restarts`` random restarts; every start stops on its own relative
+    ``MIXTURE_RESTARTS`` random restarts; every start stops on its own relative
     log-likelihood gain below ``EM_TOL``, at ``EM_MAX_ITER`` iterations, or
     once it cannot beat the best BIC so far. The component-sd floor is 1e-6 x
     sample sd to keep components from collapsing on a point. The scan over G
@@ -255,8 +257,6 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, stream=None):
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < MIN_MIXTURE_SAMPLES:
         raise DomainError(f"mixture fitting needs at least {MIN_MIXTURE_SAMPLES} samples")
-    if g_max < 1:
-        raise DomainError("g_max must be >= 1")
     if x.min() == x.max():
         raise DegeneracyError("all samples identical; mixture fit undefined")
     sd_all = float(x.std())
@@ -270,10 +270,10 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, stream=None):
     best = MixtureModel1D(np.ones(1), np.array([mean]), np.array([sd]), ll1,
                           -2.0 * ll1 + 2.0 * math.log(n), 1)
     stages = [MixtureStage(1, best.bic, (1,), 0)]
-    for g in range(2, g_max + 1):
+    for g in range(2, MIXTURE_G_MAX + 1):
         means0 = [np.quantile(x, (np.arange(g) + 0.5) / g)]
         sds0 = [np.full(g, sd_all)]
-        for _ in range(n_restarts):
+        for _ in range(MIXTURE_RESTARTS):
             idx = rng.choice(n, size=g, replace=False)
             means0.append(x[idx].astype(float))
             sds0.append(np.full(g, sd_all) * rng.uniform(0.3, 1.5))
@@ -282,7 +282,7 @@ def fit_gaussian_mixture_1d(samples, g_max=5, *, n_restarts=10, stream=None):
         bar = (k_free * math.log(n) - best.bic) / 2.0
         w, m, s, ll, iters, barred = _em_batch(
             x, np.full((S, g), 1.0 / g), np.array(means0), np.array(sds0),
-            EM_TOL, EM_MAX_ITER, sd_floor, bar=bar)
+            sd_floor, bar=bar)
         i_best = int(np.argmax(ll))
         bic = -2.0 * float(ll[i_best]) + k_free * math.log(n)
         stages.append(MixtureStage(g, bic, tuple(iters.tolist()), int(barred.sum())))

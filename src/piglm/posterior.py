@@ -33,7 +33,7 @@ from .glm import (
     _slab_grid,
     _summed_loglik_grid,
 )
-from .numerics import RngStream, std_normal_cdf, student_t_cdf
+from .numerics import RngStream
 from .priors import PriorSpec, ScalePriorSpec, prior_logpdf
 
 __all__ = [
@@ -81,20 +81,6 @@ class LaplacePosterior:
         if self.dof <= 2:
             return math.inf
         return s * math.sqrt(self.dof / (self.dof - 2.0))
-
-    def marginal_cdf(self, index: int, x: float) -> float:
-        z = (x - self.mean[index]) / self.marginal_scale(index)
-        return float(std_normal_cdf(z) if self.dof is None else student_t_cdf(z, self.dof))
-
-    def sample(self, n: int, stream: RngStream) -> np.ndarray:
-        rng = stream.generator()
-        L = np.linalg.cholesky(self.cov)
-        z = rng.standard_normal((n, self.p))
-        draws = self.mean + z @ L.T
-        if self.dof is not None:
-            g = rng.chisquare(self.dof, size=n) / self.dof
-            draws = self.mean + (draws - self.mean) / np.sqrt(g)[:, None]
-        return draws
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,9 +191,10 @@ class GridPosterior:
 
     ``axes`` holds every parameter's axis. ``joint`` is the read-only
     exp(log posterior - its max) at every node of the gridded axes and
-    ``mass`` its trapezoid integral. ``marginals`` holds each gridded
-    parameter's normalized marginal as a read-only (grid, density) pair, built
-    once by ``grid_posterior``; parameter indices may count from the end, as in
+    ``mass`` its trapezoid integral, so the normalized density is
+    ``joint / mass``. ``marginals`` holds each gridded parameter's normalized
+    marginal as a read-only (grid, density) pair, built once by
+    ``grid_posterior``; parameter indices may count from the end, as in
     Python. When ``summed`` is set, its intercept is summed out exactly: it has
     no axis in ``joint`` and no marginal (None in ``marginals``), and ``sample``
     draws it from its conditional.
@@ -223,11 +210,6 @@ class GridPosterior:
     @property
     def p(self) -> int:
         return len(self.axes)
-
-    def density(self) -> np.ndarray:
-        if not self.proper:
-            raise SupportError("improper posterior: normalization withheld")
-        return self.joint / self.mass
 
     def marginal(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
         """(grid, density) of the normalized marginal of parameter ``index``."""
@@ -348,7 +330,7 @@ def grid_posterior(loglik: VectorizedLoglik, priors: Sequence[Optional[PriorSpec
     predictor without the intercept. The log posterior is exponentiated in
     place, less its max, and reduced once per gridded axis to that axis's
     marginal; the mass is the integral of the first gridded axis's marginal.
-    The result is marked improper (and its density withheld) when the marginal
+    The result is marked improper (and its marginals withheld) when the marginal
     of any flat gridded axis fails the tail-decay test.
     """
     p = len(bounds)

@@ -53,8 +53,11 @@ class PriorSpec:
         if self.kind not in KINDS:
             raise DomainError(f"unknown prior kind {self.kind!r}")
         mode, _, suffix = self.kind.partition("_")
-        if mode != "test" and not (_is_pair(self.bounds) and self.bounds[0] < self.bounds[1]):
-            raise DomainError(f"{self.kind} needs ordered bounds")
+        if mode == "test" and not math.isfinite(self.beta0):
+            raise DomainError(f"{self.kind} needs a finite beta0")
+        if mode != "test" and not (_is_pair(self.bounds)
+                                   and -math.inf < self.bounds[0] < self.bounds[1] < math.inf):
+            raise DomainError(f"{self.kind} needs finite ordered bounds")
         kernel = _KERNELS.get(suffix)
         if kernel is not None and not kernel.valid(self):
             raise DomainError(f"{self.kind} needs {kernel.needs}")
@@ -126,23 +129,25 @@ class _Kernel:
 
 _KERNELS = {
     "fixed_sigma": _Kernel(
-        valid=lambda sp: sp.sigma is not None and sp.sigma > 0,
-        needs="sigma > 0",
+        valid=lambda sp: sp.sigma is not None and 0 < sp.sigma < math.inf,
+        needs="a finite sigma > 0",
         logpdf=lambda sp, u: (-0.5 * (u / sp.sigma) ** 2
                               - math.log(sp.sigma * math.sqrt(2.0 * math.pi))),
         explore=lambda sp, b, lo, hi: (std_normal_cdf((b - lo) / sp.sigma)
                                        - std_normal_cdf((b - hi) / sp.sigma)),
     ),
     "uniform_sigma": _Kernel(
-        valid=lambda sp: _is_pair(sp.sigma_bounds) and 0 < sp.sigma_bounds[0] < sp.sigma_bounds[1],
-        needs="0 < sigma_min < sigma_max",
+        valid=lambda sp: (_is_pair(sp.sigma_bounds)
+                          and 0 < sp.sigma_bounds[0] < sp.sigma_bounds[1] < math.inf),
+        needs="sigma_bounds 0 < sigma_min < sigma_max < inf",
         logpdf=lambda sp, u: _uniform_sigma_logpdf(u, *sp.sigma_bounds),
         explore=lambda sp, b, lo, hi: _explore_uniform_sigma(b, lo, hi, *sp.sigma_bounds),
     ),
     "invchisq": _Kernel(
-        valid=lambda sp: sp.nu0 is not None and sp.nu0 > 0 and sp.s is not None and sp.s > 0,
-        needs="nu0 > 0 and scale s > 0",
-        logpdf=lambda sp, u: student_t_logpdf(u, sp.nu0, 0.0, sp.s),
+        valid=lambda sp: (sp.nu0 is not None and 0 < sp.nu0 < math.inf
+                          and sp.s is not None and 0 < sp.s < math.inf),
+        needs="finite nu0 > 0 and scale s > 0",
+        logpdf=lambda sp, u: student_t_logpdf(u, sp.nu0, sp.s),
         explore=lambda sp, b, lo, hi: (student_t_cdf((b - lo) / sp.s, sp.nu0)
                                        - student_t_cdf((b - hi) / sp.s, sp.nu0)),
     ),

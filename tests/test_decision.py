@@ -61,22 +61,6 @@ class TestEvpi:
         assert evpi_recalibrated(analyst, 0.5, crit) == pytest.approx(5.0 * crit)
         assert evpi_recalibrated(analyst, crit / 2, crit) == pytest.approx(5.0 * crit / 2)
 
-    def test_custom_utility_table(self):
-        table = [(90.0, 0.0), (100.0, 1.0), (110.0, 1.8)]
-        analyst = AnalystParams(capital=100.0, alpha=5.0, utility="custom",
-                                utility_table=table)
-        assert evpi_pure(analyst, 0.1) > 0.0
-        # PCHIP reproduces affine data exactly: U(x) = a + b x at uneven nodes
-        a, b, crit = 3.0, 0.5, 0.031105985257891162
-        affine = AnalystParams(capital=100.0, alpha=5.0, utility="custom",
-                               utility_table=[(x, a + b * x) for x in (80.0, 95.0, 100.0, 120.0)])
-        assert evpi_pure(affine, 0.1) == pytest.approx(b * 5.0 * 0.1, rel=1e-12)
-        assert recalibration_loss(affine, crit)["loss"] == pytest.approx(
-            b * 5.0 * crit / (a + b * (100.0 + 5.0)), rel=1e-12)
-        with pytest.raises(pg.DomainError):
-            evpi_pure(AnalystParams(capital=200.0, alpha=100.0, utility="custom",
-                                    utility_table=table), 0.1)
-
     def test_pi_validation(self):
         analyst = AnalystParams(capital=100.0, alpha=5.0)
         with pytest.raises(pg.DomainError):
@@ -141,3 +125,21 @@ class TestDecision:
             AnalystParams(capital=10.0, alpha=20.0, utility="log")
         with pytest.raises(pg.DomainError):
             AnalystParams(capital=10.0, alpha=1.0, utility="custom")
+
+    @pytest.mark.parametrize("field,value", [("epsilon", math.inf), ("epsilon", math.nan),
+                                             ("capital", math.inf), ("capital", math.nan)])
+    def test_client_fields_must_be_finite(self, field, value):
+        # an infinite gain acted with "act": Infinity; an infinite capital gave NaN utilities
+        kwargs = {"epsilon": 0.01, "epsilon_loss": 0.5, "c": 0.001, "capital": 1.0, field: value}
+        with pytest.raises(pg.DomainError, match=field):
+            ClientParams(**kwargs)
+
+    @pytest.mark.parametrize("utility", ["linear", "log"])
+    @pytest.mark.parametrize("field,value", [("capital", math.inf), ("capital", -math.inf),
+                                             ("capital", math.nan), ("alpha", math.inf),
+                                             ("alpha", math.nan)])
+    def test_analyst_fields_must_be_finite(self, utility, field, value):
+        # an infinite capital or alpha gave NaN EVPIs and a NaN recalibration loss
+        kwargs = {"capital": 100.0, "alpha": 1.0, "utility": utility, field: value}
+        with pytest.raises(pg.DomainError, match=field):
+            AnalystParams(**kwargs)

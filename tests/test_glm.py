@@ -517,11 +517,11 @@ _OVERSHOOT = {
 }
 
 
-def _batch_matching_single_rows(family, link, Y, w, max_iter, X=_X2):
+def _batch_matching_single_rows(family, link, Y, w, X=_X2):
     """Fit Y as one batch and assert each row equals its own R = 1 fit."""
-    batch = fit_irls_batch(family, link, Y, X, weights=w, max_iter=max_iter)
+    batch = fit_irls_batch(family, link, Y, X, weights=w)
     for r in range(Y.shape[0]):
-        alone = fit_irls_batch(family, link, Y[r:r + 1], X, weights=w, max_iter=max_iter)
+        alone = fit_irls_batch(family, link, Y[r:r + 1], X, weights=w)
         for field in ("beta_hat", "cov_unscaled", "deviance", "mu", "iterations",
                       "converged", "boundary", "start_ok", "stepped"):
             assert _same(getattr(batch, field)[r], getattr(alone, field)[0]), (r, field)
@@ -532,7 +532,7 @@ class TestBatchCore:
     @pytest.mark.parametrize("family", sorted(_BATCHES))
     def test_each_row_fits_as_if_alone(self, family):
         link, w, rows = _BATCHES[family]
-        batch = _batch_matching_single_rows(family, link, np.array(rows), w, 50)
+        batch = _batch_matching_single_rows(family, link, np.array(rows), w)
         usable = batch.start_ok & batch.stepped
         assert (batch.converged & ~batch.boundary)[[0, 3]].all()
         assert usable[1] and batch.boundary[1]
@@ -540,10 +540,11 @@ class TestBatchCore:
         assert not usable[2] and np.isnan(batch.beta_hat[2]).all()
 
     @pytest.mark.parametrize("family", ["poisson", "binomial"])
-    def test_unfinished_rows_mix_with_converged_rows(self, family):
+    def test_unfinished_rows_mix_with_converged_rows(self, family, monkeypatch):
         # four steps settle the interior rows but not the row still diverging
+        monkeypatch.setattr(pg.glm, "IRLS_MAX_ITER", 4)
         link, w, rows = _BATCHES[family]
-        batch = _batch_matching_single_rows(family, link, np.array(rows), w, 4)
+        batch = _batch_matching_single_rows(family, link, np.array(rows), w)
         assert batch.converged[[0, 3]].all()
         assert batch.stepped[1] and not batch.converged[1] and not batch.boundary[1]
         assert batch.iterations[1] == 4
@@ -578,7 +579,7 @@ class TestBatchCore:
         X = np.column_stack([np.ones(6), x])
         Y = np.array([y, np.exp(0.3 * x) * np.array([1.1, 0.9, 1.0, 1.2, 0.8, 1.0])])
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = _batch_matching_single_rows("gamma", "log", Y, None, 50, X)
+            batch = _batch_matching_single_rows("gamma", "log", Y, None, X)
             ref = _reference_irls(FAMILIES["gamma"], LINKS["log"], ModelData(y, X))
         assert _same(batch.beta_hat[0], ref[0]) and _same(batch.cov_unscaled[0], ref[1])
         assert (batch.deviance[0], batch.converged[0], batch.boundary[0],

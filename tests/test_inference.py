@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import piglm as pg
 from piglm.inference import (
@@ -14,7 +14,7 @@ from piglm.inference import (
     wald_pvalue,
 )
 
-from exact import flat_prior_pi
+from exact import conditional_exact_p, flat_prior_pi, two_arm_counts
 
 
 class TestWald:
@@ -25,7 +25,6 @@ class TestWald:
         assert rep.z == pytest.approx(-4.156293654982192, rel=1e-12)
         assert rep.p_or_pi == pytest.approx(3.2345203405431756e-05, rel=1e-10)
         assert rep.direction == "negative"
-        assert not rep.boundary_warning
 
     def test_t_reference(self, credence_primary):
         data, fit = credence_primary
@@ -41,12 +40,6 @@ class TestWald:
         rep = wald_pvalue(fit, 1.0, 1, beta0=fit.beta_hat[1])
         assert rep.z == 0.0
         assert rep.p_or_pi == 1.0
-
-    def test_boundary_warning(self, dapa_dka):
-        data, fit = dapa_dka
-        rep = wald_pvalue(fit, 1.0, 1)
-        assert rep.boundary_warning
-        assert "unreliable" in rep.notes
 
     def test_index_validation(self, credence_primary):
         data, fit = credence_primary
@@ -264,3 +257,39 @@ def test_pi_value_symmetric_in_posterior_mean(mean, sd):
     b = pi_value_analytic(post2, 0)
     assert a.p_or_pi == pytest.approx(b.p_or_pi, rel=1e-9)
     assert 0.0 < a.p_or_pi <= 1.0
+
+
+class TestConditionalExactTest:
+    """The conditional exact test of two Poisson arms is the flat-prior pi-value
+    with one more event in the reference arm (tests/exact.py)."""
+
+    @given(st.integers(0, 80), st.integers(0, 80), st.floats(0.05, 20.0), st.floats(0.05, 20.0))
+    @settings(max_examples=300, deadline=None)
+    def test_each_tail_is_a_beta_tail_above_the_flat_pi(self, y1, y0, e1, e0):
+        assume(y1 + y0 > 0)
+        at_least, at_most, p = conditional_exact_p(y1, e1, y0, e0)
+        x = e1 / (e1 + e0)
+        # P(Bin(N, x) >= y1) = I_x(y1, y0 + 1); the other tail swaps the arms
+        for tail, a, b, xa in ((at_least, y1, y0, x), (at_most, y0, y1, 1.0 - x)):
+            if a == 0:
+                assert tail == 1.0
+            else:
+                assert tail == pytest.approx(special.betainc(a, b + 1, xa), rel=1e-12)
+            if a > 0 and b > 0:
+                # the flat posterior is proper: its tail I_x(a, b) lies below;
+                # the two can meet within rounding when both are near 1
+                assert special.betainc(a, b, xa) <= tail * (1.0 + 1e-12)
+        assert 0.0 < p <= 1.0
+        if y1 > 0 and y0 > 0:
+            assert flat_prior_pi(y1, e1, y0, e0) <= p * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("outcome,exact_p,flat_pi", [
+        (("CREDENCE", "primary"), 3.4241e-5, 2.8137e-5),
+        (("CREDENCE", "dka"), 6.3155e-3, 9.7121e-4),
+        (("DAPA-CKD", "primary"), 6.6582e-8, 5.0419e-8),
+    ])
+    def test_bundled_outcomes(self, trial_records, outcome, exact_p, flat_pi):
+        # the two-sided values that README tabulates, to five figures
+        counts = two_arm_counts(pg.trial_model_data(trial_records, *outcome)[0])
+        assert conditional_exact_p(*counts)[2] == pytest.approx(exact_p, rel=5e-5)
+        assert flat_prior_pi(*counts) == pytest.approx(flat_pi, rel=5e-5)

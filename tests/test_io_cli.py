@@ -346,6 +346,8 @@ def test_surface_without_a_node_near_the_fit_is_a_domain_error(extra, capsys):
 
 
 _FIXED_SIGMA = ["priors", "--kind", "test_fixed_sigma", "--sigma", "1"]
+_INVCHISQ = ["priors", "--kind", "test_invchisq"]
+_DECIDE = ["decide", "--epsilon-loss", "0.5", "--cost", "0.001", "--pi", "0.02"]
 
 
 @pytest.mark.parametrize("args,name", [
@@ -355,6 +357,19 @@ _FIXED_SIGMA = ["priors", "--kind", "test_fixed_sigma", "--sigma", "1"]
         (_FIXED_SIGMA, "--interval", "interval", ["nan,5", "5,-5", "-inf,5"]),
         (["rpd", "--pi-init", "0.05"], "--cap", "cap", ["nan", "0", "inf"]),
         (["fit", *_STUDY], "--exposure-scale", "exposure_scale", ["0", "nan"]),
+        (_FIXED_SIGMA, "--beta0", "beta0", ["nan", "inf"]),
+        (["priors", "--kind", "test_fixed_sigma"], "--sigma", "sigma", ["inf"]),
+        (["priors", "--kind", "test_uniform_sigma"], "--sigma-bounds", "sigma_bounds",
+         ["1,inf"]),
+        ([*_INVCHISQ, "--scale-s", "1"], "--nu0", "nu0", ["inf"]),
+        ([*_INVCHISQ, "--nu0", "2.5"], "--scale-s", "scale s", ["inf"]),
+        (["priors", "--kind", "explore_fixed_sigma", "--sigma", "1"], "--bounds", "bounds",
+         ["-inf,5", "-5,inf"]),
+        (["posterior", *_STUDY, "--method", "grid", "--prior", "student_t"], "--prior-df",
+         "nu0", ["inf"]),
+        (_DECIDE, "--epsilon", "epsilon", ["inf"]),
+        ([*_DECIDE, "--epsilon", "0.01"], "--analyst-capital", "capital", ["inf", "nan"]),
+        ([*_DECIDE, "--epsilon", "0.01"], "--alpha", "alpha", ["inf"]),
     ]
     for value in values])
 def test_out_of_range_value_is_a_domain_error_naming_it(args, name, capsys):

@@ -89,7 +89,7 @@ class TestStudentT:
     def test_logpdf_integrates_to_one(self):
         from scipy import integrate
 
-        val, _ = integrate.quad(lambda x: math.exp(student_t_logpdf(x, 2.5, 0.3, 1.7)),
+        val, _ = integrate.quad(lambda x: math.exp(student_t_logpdf(x, 2.5, 1.7)),
                                 -np.inf, np.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -147,15 +147,16 @@ class TestMixture:
         assert model.means == pytest.approx([-2.0, 1.5], abs=0.1)
         assert model.weights == pytest.approx([0.6, 0.4], abs=0.05)
 
-    def test_loglik_path_monotone(self, rng):
+    def test_loglik_path_monotone(self, rng, monkeypatch):
         # one EM start from poor means, stopped after 1, 2, ..., k iterations:
         # no iteration lowers the log likelihood
         x = np.concatenate([rng.normal(-1.0, 0.4, 800), rng.normal(1.0, 0.4, 800)])
 
         def run(max_iter):
+            monkeypatch.setattr(numerics, "EM_MAX_ITER", max_iter)
             *_, ll, iters, _ = numerics._em_batch(
                 x, np.full((1, 2), 0.5), np.array([[-0.1, 0.2]]), np.full((1, 2), 1.0),
-                1e-8, max_iter, 1e-6, bar=-math.inf)
+                1e-6, bar=-math.inf)
             return ll[0], iters[0]
 
         ll_end, k = run(500)
@@ -195,9 +196,10 @@ class TestMixture:
         assert upper == pytest.approx(0.7 * stats.norm.sf(2.0) + 0.3 * stats.norm.sf(-4.0 / 3.0),
                                       rel=1e-14)
 
-    def test_single_component_closed_form_oracle(self, rng):
+    def test_single_component_closed_form_oracle(self, rng, monkeypatch):
+        monkeypatch.setattr(numerics, "MIXTURE_G_MAX", 1)
         x = rng.normal(0.7, 1.3, 3000)
-        model = pg.fit_gaussian_mixture_1d(x, g_max=1)
+        model = pg.fit_gaussian_mixture_1d(x)
         assert model.weights.tolist() == [1.0]
         assert model.means[0] == pytest.approx(x.mean(), rel=1e-12)
         assert model.sds[0] == pytest.approx(x.std(), rel=1e-12)
@@ -222,12 +224,13 @@ class TestMixture:
         assert sds == pytest.approx(model.sds, abs=1e-6)
         assert model.loglik == pytest.approx(np.log(dens.sum(axis=1)).sum(), rel=1e-10)
 
-    def test_degenerate_inputs(self):
+    def test_degenerate_inputs(self, monkeypatch):
         with pytest.raises(pg.DegeneracyError):
             pg.fit_gaussian_mixture_1d(np.ones(numerics.MIN_MIXTURE_SAMPLES))
         with pytest.raises(pg.DomainError):
             pg.fit_gaussian_mixture_1d(np.arange(10.0))
-        pg.fit_gaussian_mixture_1d(np.arange(float(numerics.MIN_MIXTURE_SAMPLES)), g_max=1)
+        monkeypatch.setattr(numerics, "MIXTURE_G_MAX", 1)
+        pg.fit_gaussian_mixture_1d(np.arange(float(numerics.MIN_MIXTURE_SAMPLES)))
 
 
 def _ar1(phi, n, seed):
@@ -308,9 +311,10 @@ class TestMixtureBar:
         assert g2.g == 2 and g2.n_barred > 0
         assert sum(g2.start_iters) <= sum(g2_free.start_iters) / 3
 
-    def test_stages_report_each_g_tried(self):
+    def test_stages_report_each_g_tried(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MIXTURE_RESTARTS", 4)
         x = np.random.default_rng(3).normal(0.0, 1.0, 2000)
-        model = pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(3), n_restarts=4)
+        model = pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(3))
         first, second = model.stages[0], model.stages[1]
         assert (first.g, first.bic, first.start_iters, first.n_barred) == (1, model.bic, (1,), 0)
         assert second.g == 2 and len(second.start_iters) == 5

@@ -20,6 +20,8 @@ from piglm.replication import (
     run_replication,
 )
 
+from exact import harness_lattice, two_arm_counts
+
 
 class TestPredictive:
     def test_frozen_mapping_values(self):
@@ -263,6 +265,24 @@ class TestHarness:
         m4 = np.mean((est - est.mean()) ** 4)
         target = 2.0 * fit.cov_unscaled[1, 1]
         assert abs(var - target) < 5.0 * math.sqrt((m4 - var ** 2) / len(est))
+
+    @pytest.mark.parametrize("outcome", [("CREDENCE", "primary"), ("DAPA-CKD", "primary")])
+    def test_replicate_p_matches_the_exact_lattice(self, trial_records, outcome):
+        # oracle: the exact law of -log10 p_rep over the Poisson-lognormal count
+        # pairs (tests/exact.py). Both step CDFs are flat between atoms, so the
+        # KS distance is their largest gap at the midpoints; the bound is the DKW
+        # band at level 1e-6, which holds for discrete laws too
+        data, _ = pg.trial_model_data(trial_records, *outcome)
+        fit = fit_irls("poisson", "log", data)
+        rep = run_replication(fit, "poisson", "log", data,
+                              ReplicationConfig(n_sim=100_000, seed=pg.RngStream(1)))
+        x = np.sort([-math.log10(r["ml_p"][-1]) for r in rep.records if not r["failed"]])
+        atoms, cdf, kept = harness_lattice(*two_arm_counts(data))
+        assert rep.summaries["fraction_failed"] == pytest.approx(1.0 - kept, abs=1e-6)
+        apart = np.diff(atoms) > 1e-9
+        mids = (atoms[:-1] + atoms[1:])[apart] / 2.0
+        ks = np.max(np.abs(cdf[:-1][apart] - np.searchsorted(x, mids, side="right") / x.size))
+        assert ks < math.sqrt(math.log(2e6) / 2.0) / math.sqrt(x.size)
 
     def test_event_guard_excludes_and_reports(self):
         # tiny rates: many replicates produce zero counts and must be excluded
@@ -606,7 +626,7 @@ class TestHarness:
             run_replication(fit, "poisson", "log", data,
                             ReplicationConfig(n_sim=100, seed=pg.RngStream(3)))
 
-    def test_failure_reasons_follow_the_fit_outcome(self):
+    def test_failure_reasons_follow_the_fit_outcome(self, monkeypatch):
         X = np.column_stack([np.ones(4), np.repeat([1.0, 0.0], 2)])
         Y = np.array([[3.0, 5.0, 7.0, 4.0],      # converges
                       [0.0, 0.0, 6.0, 4.0],      # diverges past the guard
@@ -614,6 +634,7 @@ class TestHarness:
                       [9.0, 8.0, 4.0, 5.0]])
         bf = fit_irls_batch("poisson", "log", Y, X)
         assert list(replication._fit_failure_reasons(bf)) == ["", "boundary", "fit error", ""]
-        bf = fit_irls_batch("poisson", "log", Y, X, max_iter=4)
+        monkeypatch.setattr(pg.glm, "IRLS_MAX_ITER", 4)
+        bf = fit_irls_batch("poisson", "log", Y, X)
         assert list(replication._fit_failure_reasons(bf)) == [
             "", "non-convergence", "fit error", ""]
