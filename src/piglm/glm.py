@@ -416,10 +416,22 @@ def _row_deviance(family: Family, y, mu, weights):
     return np.sum(weights * family.unit_deviance(y, mu), axis=-1)
 
 
+def _shared_rows(a):
+    """``a`` (rows, ...) or, when its rows are all equal, its first row alone.
+
+    A product or factorisation of that one row broadcasts to every row with
+    the bits the row-by-row call gives.
+    """
+    if len(a) > 1 and (a == a[:1]).all():
+        return a[:1]
+    return a
+
+
 def _back_substitute(R, b):
     """Solve the upper-triangular systems R[i] x[i] = b[i], one column at a time.
 
-    For p <= 2 this reproduces LAPACK's trtrs bit for bit.
+    R may hold one system for every row of b. For p <= 2 this reproduces
+    LAPACK's trtrs bit for bit.
     """
     b = b.copy()
     x = np.empty_like(b)
@@ -454,7 +466,10 @@ def fit_irls_batch(family, link, Y, X, offset=None, weights=None) -> BatchFit:
 
     X (n, p), the offset and the prior weights are shared. Each row follows
     exactly the path it would follow alone: its own step-halving, stopping
-    rule and boundary tests; rows leave the active set as they finish.
+    rule and boundary tests; rows leave the active set as they finish. When
+    every active row has the same working weights (always for gaussian/identity,
+    and for a batch of one row), one QR factorisation, and at the end one
+    information matrix and its inverse, serve them all.
     Convergence requires both a relative deviance change below 1e-10 and a
     score infinity-norm below 1e-8 (at phi = 1; the scale cancels from the
     score equations for all four families); a row still running after
@@ -510,7 +525,7 @@ def fit_irls_batch(family, link, Y, X, offset=None, weights=None) -> BatchFit:
         W = w / (family.variance(mu) * gp**2)
         z = (eta - off) + (y - mu) * gp
         sw = np.sqrt(W)
-        Q, R = np.linalg.qr(sw[:, :, None] * X)
+        Q, R = np.linalg.qr(_shared_rows(sw)[:, :, None] * X)
         beta_new = _back_substitute(R, np.matmul(Q.transpose(0, 2, 1), (sw * z)[:, :, None])[:, :, 0])
         frac = 1.0
         c = beta_new if it == 1 else b + frac * (beta_new - b)
@@ -562,12 +577,12 @@ def fit_irls_batch(family, link, Y, X, offset=None, weights=None) -> BatchFit:
         | np.any(eta_out[fitted] < -BOUNDARY_GUARD * 45, axis=1)
     mu = mu_out[fitted]
     W = w / (family.variance(mu) * link.gprime(mu) ** 2)
-    XtWX = np.matmul(XT, W[:, :, None] * X)
+    XtWX = np.matmul(XT, _shared_rows(W)[:, :, None] * X)
     cov = np.full((n_rep, p, p), np.nan)
     try:
         cov[fitted] = np.linalg.inv(XtWX)
     except np.linalg.LinAlgError:
-        for i, info in zip(fitted, XtWX):
+        for i, info in zip(fitted, np.broadcast_to(XtWX, (fitted.size, p, p))):
             try:
                 cov[i] = np.linalg.inv(info)
             except np.linalg.LinAlgError:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import math
 from typing import Optional
 
@@ -46,6 +47,7 @@ MIN_N_SIM = 100                                 # fewest replicates the harness 
 BAYES_RESOLUTION = 201                          # grid nodes per axis of a replicate's Bayes pi
 LN10 = math.log(10.0)
 LN2 = math.log(2.0)
+_TINY = np.finfo(float).tiny
 _RPD_HALF_WIDTH = 30.0 * math.sqrt(2.0)
 
 
@@ -258,9 +260,29 @@ class ReplicationConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ReplicationReport:
-    records: list
+    """The replicates as arrays: one row per replicate, or per kept replicate.
+
+    ``results`` maps each analysis result (``ml_estimates``, ``ml_p``,
+    ``<key>_pi``) to its values, row k belonging to replicate ``kept[k]``.
+    """
+
+    failure_reason: np.ndarray                      # (R,) "" for a kept replicate
+    beta_g: np.ndarray                              # (R, p) generating coefficients
+    phi_g: np.ndarray                               # (R,) generating scale
+    kept: np.ndarray                                # (K,) indices of the kept replicates
+    results: dict                                   # name -> values aligned with kept
     summaries: dict
     failure_counts: dict                            # replicates per failure reason
+
+    @functools.cached_property
+    def records(self) -> list:
+        """One dict per replicate, built on first read; later reads return the same list."""
+        records = [{"replicate": r, "failed": bool(reason), "failure_reason": reason,
+                    "beta_g": self.beta_g[r], "phi_g": self.phi_g[r]}
+                   for r, reason in enumerate(self.failure_reason)]
+        for k, i in enumerate(self.kept):
+            records[i].update((name, values[k]) for name, values in self.results.items())
+        return records
 
 
 def _bayes_prior(tag):
@@ -324,7 +346,9 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     deterministic given the seed and replicate r is the same at any n_sim. One
     ``fit_irls_batch`` call then decides the replicates every analysis keeps
     and each one's plug-in scale phi_r = D_r/(n - p) (1 for known scale). The
-    ML analysis takes Wald p-values at phi_r; each Bayes analysis takes the
+    ML analysis takes Wald p-values at phi_r (a p that underflows past the
+    smallest normal double gets its -log10 quantiles from log Phi of the Wald
+    z, so the far tail stays exact); each Bayes analysis takes the
     grid pi-value at phi_r, its prior on the target, over +-8 se of the initial
     fit at its plug-in scale. Failed replicates are flagged with a reason
     ("mean outside family domain" when the link maps the generating
@@ -334,7 +358,8 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     ``failure_counts`` and excluded from summaries. A Bayes analysis whose
     target is the intercept that its grid sums out (see
     ``posterior.grid_posterior``) has no pi-value, and raises ``DomainError``
-    before anything is simulated.
+    before anything is simulated. The report holds the replicates as arrays;
+    its per-replicate ``records`` are built only when read.
     """
     family, link = _resolve(family, link)
     post = laplace_posterior(initial, config.scale_prior, family)     # checks fit and dof
@@ -363,9 +388,9 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     phi = np.ones(kept.size) if family.known_scale else bf.deviance[ok] / (data.n - data.p)
     results = {}                                    # per kept replicate, in the order of kept
     if "ml" in config.analyses:
-        results["ml_estimates"] = bf.beta_hat[ok]
-        results["ml_p"] = two_sided_tail(bf.beta_hat[ok], np.sqrt(
-            phi[:, None] * np.diagonal(bf.cov_unscaled[ok], axis1=1, axis2=2)))
+        est = results["ml_estimates"] = bf.beta_hat[ok]
+        se = np.sqrt(phi[:, None] * np.diagonal(bf.cov_unscaled[ok], axis1=1, axis2=2))
+        results["ml_p"] = two_sided_tail(est, se)
     bounds = [(b - 8.0 * s, b + 8.0 * s)
               for b, s in zip(initial.beta_hat, initial.se(post.phi_map))]
     for key, priors in bayes:
@@ -375,15 +400,14 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
                                                            weights=data.weights), phi_r)
             gp = grid_posterior(ll, priors, bounds, resolution=BAYES_RESOLUTION)
             pis.append(pi_value_from_grid(gp, j).p_or_pi if gp.proper else None)
-    records = [{"replicate": r, "failed": bool(reasons[r]), "failure_reason": reasons[r],
-                "beta_g": beta_g[r], "phi_g": phi_g[r]} for r in range(config.n_sim)]
-    for k, i in enumerate(kept):
-        records[i].update((name, values[k]) for name, values in results.items())
     summaries = {"fraction_failed": 1.0 - kept.size / config.n_sim}
     if "ml" in config.analyses:
-        est = results["ml_estimates"]
         pvals = results["ml_p"][:, j]
-        logs = -np.log10(np.maximum(pvals, 1e-300))
+        # a p below the smallest normal double has lost digits or underflowed
+        # to 0, so its -log10 comes from log Phi of its z
+        logs = -np.log10(np.maximum(pvals, _TINY))
+        far = pvals < _TINY
+        logs[far] = -(LN2 + std_normal_logcdf(-np.abs(est[far, j]) / se[far, j])) / LN10
         summaries.update({
             "ml_mean": est.mean(axis=0),
             "ml_sd": est.std(axis=0, ddof=1),
@@ -398,4 +422,4 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
         if pis:
             summaries[f"{key}_pi_median"] = float(np.median(pis))
     failure_counts = dict(collections.Counter(reasons[reasons != ""]))
-    return ReplicationReport(records, summaries, failure_counts)
+    return ReplicationReport(reasons, beta_g, phi_g, kept, results, summaries, failure_counts)

@@ -621,3 +621,47 @@ class TestBatchCore:
         assert batch.converged.all() and not batch.boundary.any()
         ratio = np.log((Y[:, 0] / E[0]) / (Y[:, 1] / E[1]))
         np.testing.assert_allclose(batch.beta_hat[:, 1], ratio, rtol=1e-12, atol=0.0)
+
+
+class TestSharedWorkingWeights:
+    """Rows with equal working weights share one factorisation; each row must
+    still fit as if alone."""
+
+    def test_gaussian_batch_at_replication_size(self, rng):
+        n = 40
+        X = np.column_stack([np.ones(n), rng.uniform(0.0, 10.0, n)])
+        Y = (1.0 + 0.5 * X[:, 1])[None, :] + rng.standard_normal((1000, n))
+        batch = _batch_matching_single_rows("gaussian", "identity", Y, None, X)
+        assert batch.converged.all() and not batch.boundary.any()
+        for r in rng.choice(1000, 25, replace=False):
+            ref = _reference_irls(FAMILIES["gaussian"], LINKS["identity"], ModelData(Y[r], X))
+            assert _same(batch.beta_hat[r], ref[0]) and _same(batch.cov_unscaled[r], ref[1])
+            assert (batch.deviance[r], batch.converged[r], batch.boundary[r],
+                    batch.iterations[r]) == ref[2:]
+
+    def test_poisson_duplicated_rows_among_distinct_rows(self):
+        # three copies of the row diverging to the boundary outlast the
+        # interior rows, so the last iterations run on equal weights only;
+        # two of the copies lead, so equal first rows alone must not share
+        link, w, rows = _BATCHES["poisson"]
+        Y = np.array([rows[1], rows[1], rows[0], rows[3], rows[1], rows[0]])
+        batch = _batch_matching_single_rows("poisson", link, Y, w)
+        assert (batch.iterations[[0, 1, 4]] > batch.iterations[[2, 3, 5]].max()).all()
+        assert batch.boundary[[0, 1, 4]].all() and (batch.converged & ~batch.boundary)[[2, 3, 5]].all()
+        for r in range(Y.shape[0]):
+            ref = _reference_irls(FAMILIES["poisson"], LINKS[link], ModelData(Y[r], _X2))
+            assert _same(batch.beta_hat[r], ref[0]) and _same(batch.cov_unscaled[r], ref[1])
+            assert (batch.deviance[r], batch.converged[r], batch.boundary[r],
+                    batch.iterations[r]) == ref[2:]
+
+    def test_singular_information_reaches_every_row(self, rng):
+        # a repeated column leaves X' W X singular: every fitted row gets the
+        # pseudo-inverse and the boundary flag, not only the first
+        n = 8
+        X = np.column_stack([np.ones(n), np.ones(n)])
+        Y = 1.0 + rng.standard_normal((5, n))
+        with np.errstate(all="ignore"):
+            batch = _batch_matching_single_rows("gaussian", "identity", Y, None, X)
+        assert batch.stepped.all() and batch.boundary.all()
+        for cov in batch.cov_unscaled:
+            assert _same(cov, np.linalg.pinv(X.T @ X))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,55 @@ class TestHarness:
         mids = (atoms[:-1] + atoms[1:])[apart] / 2.0
         ks = np.max(np.abs(cdf[:-1][apart] - np.searchsorted(x, mids, side="right") / x.size))
         assert ks < math.sqrt(math.log(2e6) / 2.0) / math.sqrt(x.size)
+
+    def test_far_tail_quantiles_follow_each_replicate_z(self):
+        # 3000 against 9000 events: every replicate p underflows past the
+        # smallest normal double (-log10 p near 590). Oracle: each replicate's
+        # counts, read back from its estimates, give its Wald z, and scipy's
+        # log survival function its -log10 p
+        e = 5000.0
+        data = ModelData(y=np.array([3000.0, 9000.0]), X=np.array([[1.0, 1.0], [1.0, 0.0]]),
+                         offset=np.full(2, math.log(e)))
+        fit = fit_irls("poisson", "log", data)
+        rep = run_replication(fit, "poisson", "log", data,
+                              ReplicationConfig(n_sim=400, seed=pg.RngStream(3)))
+        good = [r for r in rep.records if not r["failed"]]
+        assert len(good) == 400 and all(r["ml_p"][1] < np.finfo(float).tiny for r in good)
+        b = np.array([r["ml_estimates"] for r in good])
+        y0, y1 = np.rint(e * np.exp(b[:, 0])), np.rint(e * np.exp(b[:, 0] + b[:, 1]))
+        z = np.log(y1 / y0) / np.sqrt(1.0 / y1 + 1.0 / y0)
+        x = -(math.log(2.0) + stats.norm.logsf(np.abs(z))) / math.log(10.0)
+        for q, got in rep.summaries["neglog10_p_quantiles"].items():
+            assert got == pytest.approx(np.quantile(x, q), rel=1e-9)
+        assert rep.summaries["neglog10_p_quantiles"][0.05] > 500.0
+
+    def test_records_are_built_once_on_first_read(self, credence_primary):
+        data, fit = credence_primary
+        rep = run_replication(fit, "poisson", "log", data,
+                              ReplicationConfig(n_sim=150, seed=pg.RngStream(4)))
+        assert "records" not in vars(rep)
+        assert rep.records is rep.records
+        r = next(r for r in rep.records if not r["failed"])
+        r["ml_p"] = r["ml_p"] * 10.0
+        r["note"] = "edited"
+        again = rep.records[r["replicate"]]
+        assert again["note"] == "edited" and np.array_equal(again["ml_p"], r["ml_p"])
+        k = int(np.searchsorted(rep.kept, r["replicate"]))
+        assert np.array_equal(rep.results["ml_p"][k] * 10.0, r["ml_p"])
+
+    def test_report_keeps_no_per_replicate_objects(self, credence_primary):
+        # one dict of numpy objects per replicate would hold about 72 MB at
+        # this size; the arrays hold about 7 MB
+        data, fit = credence_primary
+        tracemalloc.start()
+        try:
+            rep = run_replication(fit, "poisson", "log", data,
+                                  ReplicationConfig(n_sim=100_000, seed=pg.RngStream(7)))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "records" not in vars(rep)
+        assert retained < 15e6
 
     def test_event_guard_excludes_and_reports(self):
         # tiny rates: many replicates produce zero counts and must be excluded
