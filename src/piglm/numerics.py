@@ -177,14 +177,27 @@ class MixtureModel1D:
         return len(self.weights)
 
 
-def _em_batch(x, w, m, s, sd_floor, bar):
-    """EM on a batch of starting points simultaneously.
+def _runs(x):
+    """Runs of equal consecutive draws: (one value per run, run lengths as floats).
 
-    ``w``, ``m``, ``s`` have shape (n_starts, g). The working arrays have
-    shape (active starts, g, n), with the draws on the innermost, contiguous
-    axis: the E step's log-sum-exp is a max-shift over the short component
-    axis (underflow-safe for far-out samples), and the M-step sums run along
-    the draws. Each start freezes once its own log likelihood stalls
+    A Metropolis chain repeats its state at every rejection; the EM log
+    likelihood of repeated values is the count-weighted sum over the runs.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    return x[starts], np.diff(np.append(starts, x.size)).astype(float)
+
+
+def _em_batch(values, counts, w, m, s, sd_floor, bar):
+    """EM on a batch of starting points simultaneously, over weighted points.
+
+    ``values`` holds the distinct points and ``counts`` how many draws each
+    stands for; the log likelihood and the M-step sums weight each point by
+    its count (with every count 1.0 this is plain EM on the draws, bit for
+    bit). ``w``, ``m``, ``s`` have shape (n_starts, g). The working arrays
+    have shape (active starts, g, points), with the points on the innermost,
+    contiguous axis: the E step's log-sum-exp is a max-shift over the short
+    component axis (underflow-safe for far-out samples), and the M-step sums
+    run along the points. Each start freezes once its own log likelihood stalls
     (relative gain below ``EM_TOL``), after ``EM_MAX_ITER`` iterations, or, from
     iteration 20 on, once it cannot reach ``bar`` (the log likelihood that
     beats the best BIC so far): ll + gain * (iterations left) + 2 < bar, with
@@ -194,7 +207,7 @@ def _em_batch(x, w, m, s, sd_floor, bar):
     gains can still grow. Returns (w, m, s, ll, iters, barred), the last
     three of shape (n_starts,).
     """
-    n = x.size
+    n = counts.sum()
     S = w.shape[0]
     s = np.maximum(s, sd_floor)
     ll = np.full(S, -np.inf)
@@ -205,7 +218,7 @@ def _em_batch(x, w, m, s, sd_floor, bar):
     for it in range(1, EM_MAX_ITER + 1):
         idx = np.flatnonzero(active)
         # E step: log component densities, then responsibilities, in place
-        r = x - m[idx, :, None]
+        r = values - m[idx, :, None]
         r /= s[idx, :, None]
         r *= r
         r *= -0.5
@@ -214,12 +227,15 @@ def _em_batch(x, w, m, s, sd_floor, bar):
         r -= top[:, None, :]
         np.exp(r, out=r)
         tot = r.sum(axis=1)
+        top += np.log(tot)                  # each point's log likelihood
+        top *= counts
+        ll_new = top.sum(axis=1)
         r /= tot[:, None, :]
-        ll_new = (np.log(tot) + top).sum(axis=1)
-        # M step: sums over the draws axis
+        # M step: count-weighted sums over the points axis
+        r *= counts
         nk = np.maximum(r.sum(axis=2), 1e-300)
-        mk = (r @ x) / nk
-        dev = x - mk[:, :, None]
+        mk = (r @ values) / nk
+        dev = values - mk[:, :, None]
         dev *= dev
         dev *= r
         w[idx] = nk / n
@@ -247,8 +263,13 @@ def fit_gaussian_mixture_1d(samples, *, stream=None):
     quantile-spaced means with pooled sd and equal weights, plus
     ``MIXTURE_RESTARTS`` random restarts; every start stops on its own relative
     log-likelihood gain below ``EM_TOL``, at ``EM_MAX_ITER`` iterations, or
-    once it cannot beat the best BIC so far. The component-sd floor is 1e-6 x
-    sample sd to keep components from collapsing on a point. The scan over G
+    once it cannot beat the best BIC so far. The EM runs on the draws' runs
+    of repeated values, one point per run weighted by its length, which gives
+    the same log likelihood as the draws themselves; starts, restarts and the
+    BIC's n come from the draws. The component-sd floor is 1e-6 x sample sd;
+    a start that ends with a component at the floor has collapsed onto a
+    point, a likelihood singularity, and cannot win. If every start of a G
+    collapses, that G's BIC is +inf and the scan stops. The scan over G
     stops once BIC worsens. The model's ``stages`` record every G tried; the
     BIC of a G that lost is where its starts stopped. Fewer than
     ``MIN_MIXTURE_SAMPLES`` draws raise ``DomainError``; identical draws
@@ -270,6 +291,7 @@ def fit_gaussian_mixture_1d(samples, *, stream=None):
     best = MixtureModel1D(np.ones(1), np.array([mean]), np.array([sd]), ll1,
                           -2.0 * ll1 + 2.0 * math.log(n), 1)
     stages = [MixtureStage(1, best.bic, (1,), 0)]
+    values, counts = _runs(x)
     for g in range(2, MIXTURE_G_MAX + 1):
         means0 = [np.quantile(x, (np.arange(g) + 0.5) / g)]
         sds0 = [np.full(g, sd_all)]
@@ -281,8 +303,11 @@ def fit_gaussian_mixture_1d(samples, *, stream=None):
         k_free = 3 * g - 1
         bar = (k_free * math.log(n) - best.bic) / 2.0
         w, m, s, ll, iters, barred = _em_batch(
-            x, np.full((S, g), 1.0 / g), np.array(means0), np.array(sds0),
+            values, counts, np.full((S, g), 1.0 / g), np.array(means0), np.array(sds0),
             sd_floor, bar=bar)
+        # a component at the sd floor sits on a likelihood singularity: that
+        # start collapsed onto a point and cannot win
+        ll[(s <= sd_floor).any(axis=1)] = -np.inf
         i_best = int(np.argmax(ll))
         bic = -2.0 * float(ll[i_best]) + k_free * math.log(n)
         stages.append(MixtureStage(g, bic, tuple(iters.tolist()), int(barred.sum())))

@@ -396,13 +396,21 @@ def rw_metropolis(log_post: Callable, init, proposal_cov, n_iter: int,
     The proposal scale adapts in blocks of 200 during the first half of
     burn-in toward an acceptance rate in [0.2, 0.5], then freezes, so the
     retained draws come from a fixed kernel. Deterministic given ``stream``.
+    ``proposal_cov`` must be a finite, positive-definite p x p matrix
+    (``DomainError`` before any step otherwise).
     """
     if n_iter < 1 or burn_in < 0:
         raise DomainError("rw_metropolis needs n_iter >= 1 and burn_in >= 0")
     init = np.atleast_1d(np.asarray(init, dtype=float))
     p = init.size
     cov = np.atleast_2d(np.asarray(proposal_cov, dtype=float))
-    L = np.linalg.cholesky(cov)
+    if cov.shape != (p, p) or not np.isfinite(cov).all():
+        raise DomainError(f"proposal_cov must be a finite {p} x {p} matrix; "
+                          f"got shape {cov.shape}")
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise DomainError("proposal_cov is not positive definite") from None
     rng = stream.generator()
     lp0 = float(log_post(init))
     if not np.isfinite(lp0):

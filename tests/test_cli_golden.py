@@ -3,7 +3,8 @@
 Each case runs ``cli.main`` with ``--out`` and compares the file with
 ``tests/golden/<name>.json`` and the exit code with ``exit_codes.json``. A
 case that writes no file has no golden JSON. To rewrite the golden files
-after an intended change, run ``PYTHONPATH=src python tests/test_cli_golden.py``
+after an intended change, run ``PYTHONPATH=src python tests/test_cli_golden.py``,
+which prints each golden file whose bytes changed and each changed exit code,
 and name every moved file in CHANGES.md.
 """
 
@@ -72,8 +73,16 @@ def test_cli_json_is_byte_identical(name, exit_codes, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    codes_path = GOLDEN / "exit_codes.json"
+    old_codes = json.loads(codes_path.read_text()) if codes_path.exists() else {}
     codes = {}
     for name in sorted(CASES):
-        (GOLDEN / f"{name}.json").unlink(missing_ok=True)
-        codes[name], _ = _run(name, GOLDEN)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+        golden = GOLDEN / f"{name}.json"
+        before = golden.read_bytes() if golden.exists() else None
+        golden.unlink(missing_ok=True)
+        codes[name], after = _run(name, GOLDEN)
+        if after != before:
+            print(f"moved: {golden.name}")
+        if codes[name] != old_codes.get(name):
+            print(f"exit code moved: {name} {old_codes.get(name)} -> {codes[name]}")
+    codes_path.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")

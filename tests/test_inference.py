@@ -166,6 +166,21 @@ class TestPiValue:
         assert abs(rep.p_or_pi - exact) < 3.0 * mcse
         assert rep.direction == ("positive" if n_low == 2000 else "negative")
 
+    def test_mixture_of_grid_draws_has_no_collapsed_component(self, credence_primary):
+        # 1000 draws from the CREDENCE/primary grid posterior where EM finds a
+        # G = 2 start with a component at the sd floor (w = 0.001): a likelihood
+        # singularity that, chosen, put pi at 72 times the exact value
+        data, fit = credence_primary
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        bounds = [(b - 8.0 * s, b + 8.0 * s) for b, s in zip(fit.beta_hat, fit.se(1.0))]
+        gp = pg.grid_posterior(ll, [None, None], bounds, resolution=101)
+        stream = pg.RngStream(2275759358)
+        draws = gp.sample(1000, stream.child(1))[:, 1]
+        model = pg.fit_gaussian_mixture_1d(draws, stream=stream.child(2))
+        assert (model.sds > 1e-6 * draws.std()).all()
+        rep = pi_value_from_samples(draws, method="mixture", stream=stream.child(2))
+        assert abs(math.log(rep.p_or_pi / flat_prior_pi(*two_arm_counts(data)))) < 2.58
+
     def test_mixture_other_errors_propagate(self, rng, monkeypatch):
         def broken_fit(*args, **kwargs):
             raise RuntimeError("broken fit")

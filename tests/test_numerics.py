@@ -155,8 +155,8 @@ class TestMixture:
         def run(max_iter):
             monkeypatch.setattr(numerics, "EM_MAX_ITER", max_iter)
             *_, ll, iters, _ = numerics._em_batch(
-                x, np.full((1, 2), 0.5), np.array([[-0.1, 0.2]]), np.full((1, 2), 1.0),
-                1e-6, bar=-math.inf)
+                x, np.ones(x.size), np.full((1, 2), 0.5), np.array([[-0.1, 0.2]]),
+                np.full((1, 2), 1.0), 1e-6, bar=-math.inf)
             return ll[0], iters[0]
 
         ll_end, k = run(500)
@@ -206,13 +206,10 @@ class TestMixture:
         expected_ll = stats.norm.logpdf(x, x.mean(), x.std()).sum()
         assert model.loglik == pytest.approx(expected_ll, rel=1e-12)
 
-    def test_em_fit_is_a_fixed_point_of_one_m_step(self):
-        # responsibilities from scipy's normal density, then one M step by hand;
-        # EM stops on a relative log-likelihood gain of 1e-8, so the residual
-        # step scales with its convergence rate: the components are well apart
-        gen = np.random.default_rng(31)
-        x = np.concatenate([gen.normal(-1.5, 0.6, 2500), gen.normal(2.5, 0.5, 1500)])
-        model = pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(1, 6))
+    @staticmethod
+    def _assert_fixed_point(x, model):
+        # responsibilities from scipy's normal density over every draw, then
+        # one M step by hand
         assert model.count == 2
         dens = model.weights * stats.norm.pdf(x[:, None], model.means, model.sds)
         r = dens / dens.sum(axis=1, keepdims=True)
@@ -223,6 +220,20 @@ class TestMixture:
         assert means == pytest.approx(model.means, abs=1e-6)
         assert sds == pytest.approx(model.sds, abs=1e-6)
         assert model.loglik == pytest.approx(np.log(dens.sum(axis=1)).sum(), rel=1e-10)
+
+    def test_em_fit_is_a_fixed_point_of_one_m_step(self):
+        # EM stops on a relative log-likelihood gain of 1e-8, so the residual
+        # step scales with its convergence rate: the components are well apart
+        gen = np.random.default_rng(31)
+        x = np.concatenate([gen.normal(-1.5, 0.6, 2500), gen.normal(2.5, 0.5, 1500)])
+        self._assert_fixed_point(x, pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(1, 6)))
+
+    def test_em_fit_on_repeated_draws_is_a_fixed_point_of_one_m_step(self):
+        # as above, on draws that repeat each value 1-6 times in a row
+        gen = np.random.default_rng(32)
+        base = np.concatenate([gen.normal(-1.5, 0.6, 1000), gen.normal(2.5, 0.5, 600)])
+        x = np.repeat(gen.permutation(base), gen.integers(1, 7, base.size))
+        self._assert_fixed_point(x, pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(1, 7)))
 
     def test_degenerate_inputs(self, monkeypatch):
         with pytest.raises(pg.DegeneracyError):
@@ -240,6 +251,66 @@ def _ar1(phi, n, seed):
     for i in range(1, n):
         x[i] = phi * x[i - 1] + e[i]
     return x
+
+
+def _with_runs(x, seed):
+    """x with each value repeated 1-4 times in a row, as rejections repeat a chain's state."""
+    return np.repeat(x, np.random.default_rng(seed).integers(1, 5, x.size))
+
+
+class TestRunWeightedEM:
+    """The EM runs on one point per run of repeated draws, weighted by the
+    run's length: run on the expanded draws instead, it chooses the same model."""
+
+    @staticmethod
+    def _credence_chain(trial_records, outcome, n_iter, burn_in):
+        data, _ = pg.trial_model_data(trial_records, "CREDENCE", outcome)
+        fit = pg.fit_irls("poisson", "log", data)
+        ll = pg.vectorized_loglik("poisson", "log", data)
+        chain = pg.rw_metropolis(lambda b: float(ll(b[None, :])[0]), fit.beta_hat,
+                                 fit.cov_unscaled, n_iter, burn_in, pg.RngStream(20260824))
+        return chain.draws[:, 1]
+
+    def _same_as_expanded(self, x, stream, monkeypatch):
+        runs = pg.fit_gaussian_mixture_1d(x, stream=stream)
+        with monkeypatch.context() as mp:
+            mp.setattr(numerics, "_runs", lambda x: (x, np.ones(x.size)))
+            full = pg.fit_gaussian_mixture_1d(x, stream=stream)
+        assert runs.count == full.count and runs.n_iter == full.n_iter
+        assert ([(st.g, st.start_iters, st.n_barred) for st in runs.stages]
+                == [(st.g, st.start_iters, st.n_barred) for st in full.stages])
+        for got, want in [(runs.weights, full.weights), (runs.means, full.means),
+                          (runs.sds, full.sds), (runs.loglik, full.loglik),
+                          (runs.bic, full.bic)]:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        return runs
+
+    @pytest.mark.parametrize("outcome,n_iter,burn_in,g",
+                             [("dka", 2000, 500, 2), ("primary", 3000, 750, 4)])
+    def test_metropolis_chain(self, trial_records, outcome, n_iter, burn_in, g, monkeypatch):
+        x = self._credence_chain(trial_records, outcome, n_iter, burn_in)
+        assert numerics._runs(x)[0].size < x.size / 2       # most draws repeat
+        model = self._same_as_expanded(x, pg.RngStream(20260824, 999), monkeypatch)
+        assert model.count == g
+
+    def test_ar1_series_with_runs(self, monkeypatch):
+        x = _with_runs(_ar1(0.9, 3000, 2), 3)
+        self._same_as_expanded(x, pg.RngStream(2, 999), monkeypatch)
+
+    def test_em_receives_one_point_per_run(self, monkeypatch):
+        x = _with_runs(_ar1(0.9, 3000, 4), 5)
+        em, seen = numerics._em_batch, []
+
+        def spy(values, counts, *args, bar):
+            seen.append((values.copy(), counts.copy()))
+            return em(values, counts, *args, bar=bar)
+
+        monkeypatch.setattr(numerics, "_em_batch", spy)
+        pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(4, 999))
+        assert seen
+        for values, counts in seen:
+            assert (values[1:] != values[:-1]).all()
+            assert np.array_equal(np.repeat(values, counts.astype(int)), x)
 
 
 class TestTwoSidedTail:

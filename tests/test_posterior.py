@@ -626,6 +626,23 @@ class TestMetropolis:
             rw_metropolis(lambda b: -0.5 * float(b @ b), np.zeros(1), np.eye(1), n_iter,
                           burn_in, pg.RngStream(2, 4))
 
+    @pytest.mark.parametrize("cov", [
+        [[1.0, 2.0], [2.0, 1.0]],
+        np.eye(3),
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+    ], ids=["not_positive_definite", "3x3", "nan", "inf"])
+    def test_bad_proposal_cov_rejected_before_any_step(self, cov):
+        calls = []
+
+        def log_post(b):
+            calls.append(b)
+            return -0.5 * float(b @ b)
+
+        with pytest.raises(pg.DomainError, match="proposal_cov"):
+            pg.rw_metropolis(log_post, np.zeros(2), cov, 100, 10, pg.RngStream(2, 5))
+        assert calls == []
+
     def test_frozen_chain_raises_mixing_error(self):
         # density is a point mass at the start: every proposal is rejected
         target = lambda b: 0.0 if float(np.abs(b).max()) == 0.0 else -np.inf
