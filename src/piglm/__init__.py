@@ -21,7 +21,6 @@ from .glm import (
     LikelihoodSurface,
     ModelData,
     ScaleEstimates,
-    deviance,
     fit_irls,
     likelihood_surface,
     log_likelihood,
@@ -71,7 +70,6 @@ from .replication import (
     ReplicationConfig,
     ReplicationReport,
     RpdCurve,
-    TranslationKernel,
     predictive_pi,
     rpd_cdf,
     rpd_curve,

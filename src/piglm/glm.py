@@ -38,7 +38,6 @@ __all__ = [
     "fit_irls",
     "fit_irls_batch",
     "BatchFit",
-    "deviance",
     "saddlepoint_logpdf",
     "likelihood_surface",
     "quadraticity_diagnostic",
@@ -380,14 +379,6 @@ def score(family, link, beta, phi, data: ModelData) -> np.ndarray:
     mu, _ = _mu_from_beta(family, link, beta, data)
     u = data.weights * (data.y - mu) / (phi * family.variance(mu) * link.gprime(mu))
     return data.X.T @ u
-
-
-def deviance(family, data: ModelData, mu_hat) -> float:
-    """Total deviance D = sum_i a_i d(y_i, mu_hat_i)."""
-    family = _resolve_family(family)
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    family.check_mu(mu_hat)
-    return float(_row_deviance(family, data.y, mu_hat, data.weights))
 
 
 def _resolve_family(family) -> Family:

@@ -396,8 +396,8 @@ def rw_metropolis(log_post: Callable, init, proposal_cov, n_iter: int,
     The proposal scale adapts in blocks of 200 during the first half of
     burn-in toward an acceptance rate in [0.2, 0.5], then freezes, so the
     retained draws come from a fixed kernel. Deterministic given ``stream``.
-    ``proposal_cov`` must be a finite, positive-definite p x p matrix
-    (``DomainError`` before any step otherwise).
+    ``proposal_cov`` must be a finite, symmetric, positive-definite p x p
+    matrix (``DomainError`` before any step otherwise).
     """
     if n_iter < 1 or burn_in < 0:
         raise DomainError("rw_metropolis needs n_iter >= 1 and burn_in >= 0")
@@ -407,6 +407,9 @@ def rw_metropolis(log_post: Callable, init, proposal_cov, n_iter: int,
     if cov.shape != (p, p) or not np.isfinite(cov).all():
         raise DomainError(f"proposal_cov must be a finite {p} x {p} matrix; "
                           f"got shape {cov.shape}")
+    # cholesky reads only the lower triangle; an inverted matrix may differ in its last bits
+    if np.abs(cov - cov.T).max() > 1e-12 * np.abs(cov).max():
+        raise DomainError("proposal_cov is not symmetric")
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

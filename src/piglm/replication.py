@@ -29,7 +29,6 @@ from .posterior import _summed_intercept, grid_posterior, laplace_posterior, vec
 from .priors import PriorSpec, ScalePriorSpec
 
 __all__ = [
-    "TranslationKernel",
     "ReplicationConfig",
     "ReplicationReport",
     "RpdCurve",
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 MIN_N_SIM = 100                                 # fewest replicates the harness runs
+MIN_EVENTS = 1                                  # fewest events per observation of a kept replicate
 BAYES_RESOLUTION = 201                          # grid nodes per axis of a replicate's Bayes pi
 LN10 = math.log(10.0)
 LN2 = math.log(2.0)
@@ -197,50 +197,10 @@ def rpd_curve(pi_init: float, cap: float = 30.0, resolution: int = 2001) -> RpdC
 
 
 @dataclasses.dataclass(frozen=True)
-class TranslationKernel:
-    """Maps the initial study's generating parameters to the replicate's.
-
-    With no field set, (beta, phi) pass through. Given bias or inflation (0 and 1
-    when unset), beta_g ~ N(beta_init + bias, diag(inflation_j^2 * Sigma_init,jj));
-    scale_sd > 0 multiplies phi by exp(N(0, scale_sd^2)).
-    """
-
-    bias: Optional[np.ndarray] = None
-    inflation: Optional[np.ndarray] = None
-    scale_sd: float = 0.0
-
-    def __post_init__(self):
-        if self.inflation is not None and np.any(np.asarray(self.inflation) <= 0):
-            raise DomainError("inflation multipliers must be > 0")
-        if not self.scale_sd >= 0.0:
-            raise DomainError("scale_sd must be >= 0")
-
-    def apply(self, beta, phi, sigma_diag, rng):
-        """Translate beta (..., p) and phi (...), one row per replicate.
-
-        The noise is one standard-normal row of p + 1 per replicate (beta's
-        p, then phi's), so a row's translation does not depend on the rows after it.
-        """
-        moves_beta = self.bias is not None or self.inflation is not None
-        if not moves_beta and self.scale_sd == 0.0:
-            return beta, phi
-        z = rng.standard_normal(beta.shape[:-1] + (beta.shape[-1] + 1,))
-        if moves_beta:
-            bias = 0.0 if self.bias is None else np.asarray(self.bias, dtype=float)
-            infl = 1.0 if self.inflation is None else np.asarray(self.inflation, dtype=float)
-            beta = beta + bias + infl * np.sqrt(sigma_diag) * z[..., :-1]
-        if self.scale_sd > 0.0:
-            phi = phi * np.exp(self.scale_sd * z[..., -1])
-        return beta, phi
-
-
-@dataclasses.dataclass(frozen=True)
 class ReplicationConfig:
     n_sim: int
     seed: RngStream
-    kernel: TranslationKernel = TranslationKernel()
     analyses: tuple = ("ml",)                       # 'ml', 'bayes_flat', ('bayes_student_t', df, scale)
-    min_events_guard: int = 1
     target_index: int = -1                          # coefficient whose p/pi is summarized
     scale_prior: Optional[ScalePriorSpec] = None    # sets the phi marginal; None is jeffreys
     n_workers: int = 1                              # accepted only as 1; see __post_init__
@@ -298,28 +258,28 @@ def _bayes_prior(tag):
 def _simulate(family, link, data: ModelData, initial: FitResult, scale, config):
     """Draw every replicate's generating parameters and response as arrays.
 
-    Each purpose fills one row per replicate, in replicate order, from its own
-    child stream of the seed: phi_g (1: draws of the scale marginal ``scale``,
-    or ones when it is None), beta_init (2), the kernel noise (3) and the
-    responses (4), drawn around the means of the fitted link, so replicate r
-    does not depend on n_sim. Returns beta_g (R, p), phi_g (R,), the responses (R, n) and the
-    failure reasons ("" for none).
+    Exact replication: replicate r is generated by one draw (beta_g, phi_g) of
+    the initial posterior. Each purpose fills one row per replicate, in
+    replicate order, from its own child stream of the seed: phi_g (1: draws of
+    the scale marginal ``scale``, or ones when it is None), beta_g (2) and the
+    responses (4, around the means of the fitted link), so replicate r does
+    not depend on n_sim. Returns beta_g (R, p), phi_g (R,), the responses
+    (R, n) and the failure reasons ("" for none).
     """
-    n_sim, seed, cov_u = config.n_sim, config.seed, initial.cov_unscaled
-    phi_init = np.ones(n_sim) if scale is None else scale.sample(n_sim, seed.child(1))
+    n_sim, seed, L = config.n_sim, config.seed, np.linalg.cholesky(initial.cov_unscaled)
+    phi_g = np.ones(n_sim) if scale is None else scale.sample(n_sim, seed.child(1))
     z = seed.child(2).generator().standard_normal((n_sim, data.p))
-    beta_init = initial.beta_hat + np.sqrt(phi_init)[:, None] * (z @ np.linalg.cholesky(cov_u).T)
-    beta_g, phi_g = config.kernel.apply(beta_init, phi_init, phi_init[:, None] * np.diag(cov_u),
-                                        seed.child(3).generator())
+    beta_g = initial.beta_hat + np.sqrt(phi_g)[:, None] * (z @ L.T)
     mu = link.ginv(beta_g @ data.X.T + data.offset)
     in_domain = family.in_domain(mu).all(axis=1)
     y = np.full(mu.shape, np.nan)
+    # stream 3 is unused: responses stay on stream 4, so a seed keeps its replicates
     y[in_domain] = family.simulate(seed.child(4).generator(), mu[in_domain],
                                    phi_g[in_domain, None], data.weights)
     reasons = np.full(n_sim, "", dtype=object)
     if family.event_counts is not None:
         events = family.event_counts(y, data.weights)
-        reasons[(events < config.min_events_guard).any(axis=1)] = "too few events"
+        reasons[(events < MIN_EVENTS).any(axis=1)] = "too few events"
     reasons[~np.isfinite(y).all(axis=1)] = "simulation overflow"
     reasons[~in_domain] = "mean outside family domain"
     return beta_g, phi_g, y, reasons
@@ -338,7 +298,7 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
                     config: ReplicationConfig) -> ReplicationReport:
     """Hierarchical replicate simulation: draw generating parameters from the
     initial posterior (phi from ``laplace_posterior``'s scale marginal),
-    translate, simulate replicate data on the initial design, fit, re-run each
+    simulate replicate data on the initial design, fit, re-run each
     configured analysis, and summarize.
 
     Every replicate is simulated first, as arrays with one child stream of the

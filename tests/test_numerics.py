@@ -131,6 +131,14 @@ class TestRngStream:
         s = pg.RngStream(99)
         assert s.child(7) == pg.RngStream(99, 7)
 
+    def test_child_depends_on_its_parent(self):
+        # a harness seeded RngStream(5, 1) must not run the replicates of RngStream(5, 9)
+        kids = [pg.RngStream(5, parent).child(2) for parent in (1, 9, 2**64 - 1)]
+        kids += [kid.child(3) for kid in kids]
+        assert len(set(kids)) == len(kids) and pg.RngStream(5, 2) not in kids
+        draws = [kid.generator().standard_normal(4) for kid in kids[:2]]
+        assert not np.array_equal(*draws)
+
 
 class TestMixture:
     def test_unimodal_picks_one_component(self, rng):

@@ -631,7 +631,9 @@ class TestMetropolis:
         np.eye(3),
         [[1.0, np.nan], [np.nan, 1.0]],
         [[np.inf, 0.0], [0.0, 1.0]],
-    ], ids=["not_positive_definite", "3x3", "nan", "inf"])
+        [[1.0, 50.0], [0.1, 1.0]],
+        [[1.0, 0.1], [0.1 + 1e-9, 1.0]],
+    ], ids=["not_positive_definite", "3x3", "nan", "inf", "asymmetric", "asymmetric_1e-9"])
     def test_bad_proposal_cov_rejected_before_any_step(self, cov):
         calls = []
 
@@ -642,6 +644,13 @@ class TestMetropolis:
         with pytest.raises(pg.DomainError, match="proposal_cov"):
             pg.rw_metropolis(log_post, np.zeros(2), cov, 100, 10, pg.RngStream(2, 5))
         assert calls == []
+
+    def test_inverted_covariance_passes_the_symmetry_check(self, dapa_dka):
+        # np.linalg.inv leaves DAPA-CKD/dka's cov_unscaled asymmetric in its last bits
+        cov = dapa_dka[1].cov_unscaled
+        assert 0.0 < np.abs(cov - cov.T).max() < 1e-20 * np.abs(cov).max()
+        chain = pg.rw_metropolis(lambda b: 0.0, np.zeros(2), cov, 10, 0, pg.RngStream(2, 6))
+        assert chain.draws.shape == (10, 2)
 
     def test_frozen_chain_raises_mixing_error(self):
         # density is a point mass at the start: every proposal is rejected

@@ -1,5 +1,8 @@
 """Every public function, class and class member is reached by the program or the benchmark.
 
+A function is reached by a call, an import or a ``pg.<name>`` reference; a
+class by any reference to its name.
+
 A name in a module's ``__all__`` that only tests call is dead weight unless an
 acceptance criterion uses it; those few are listed with their criterion. The
 same holds for the methods, properties and dataclass fields of public classes,
@@ -53,6 +56,25 @@ def _names(nodes) -> set:
     return out
 
 
+def _references(nodes) -> set:
+    """Every name the nodes call, import or read as ``pg.<name>``.
+
+    A function reached only as an attribute of the same name (``fit.deviance``
+    against ``glm.deviance``) is not reached."""
+    out = set()
+    for top in nodes:
+        for n in ast.walk(top):
+            if isinstance(n, ast.Call):
+                func = n.func
+                out.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+            elif isinstance(n, ast.ImportFrom):
+                out.update(a.name for a in n.names)
+            elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id == "pg"):
+                out.add(n.attr)
+    return out
+
+
 def _exported(tree) -> list:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
@@ -64,16 +86,18 @@ def _exported(tree) -> list:
 def test_every_public_definition_has_a_caller():
     modules = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")
                if p.name != "__init__.py"}
-    bench = _names(ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py"))
+    bench = [ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")]
     unreached = []
     for name, tree in sorted(modules.items()):
         exported = _exported(tree)
-        elsewhere = bench.union(*(_names([t]) for m, t in modules.items() if m != name))
+        others = bench + [t for m, t in modules.items() if m != name]
+        elsewhere = {ast.FunctionDef: _references(others), ast.ClassDef: _names(others)}
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported
                     and node.name not in CRITERION_ONLY):
                 # a reference in its own module counts, outside its own body
-                seen = elsewhere | _names(n for n in tree.body if n is not node)
+                reach = _references if isinstance(node, ast.FunctionDef) else _names
+                seen = elsewhere[type(node)] | reach(n for n in tree.body if n is not node)
                 if node.name not in seen:
                     unreached.append(f"{name}.{node.name}")
     assert not unreached, f"public, but called only by tests: {unreached}"

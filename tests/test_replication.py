@@ -11,7 +11,6 @@ from piglm import replication
 from piglm.glm import ModelData, fit_irls, fit_irls_batch
 from piglm.replication import (
     ReplicationConfig,
-    TranslationKernel,
     predictive_pi,
     rpd_cdf,
     rpd_curve,
@@ -183,55 +182,6 @@ class TestRpdMomentsOracle:
                 rpd_moments(bad)
 
 
-class TestKernel:
-    def test_exact_passthrough(self):
-        k = TranslationKernel()
-        rng = np.random.default_rng(0)
-        beta, phi = k.apply(np.array([1.0, 2.0]), 0.5, np.array([0.1, 0.1]), rng)
-        assert beta == pytest.approx([1.0, 2.0])
-        assert phi == 0.5
-
-    def test_gaussian_bias_and_inflation(self):
-        k = TranslationKernel(bias=np.array([10.0, 0.0]), inflation=np.array([1.0, 2.0]))
-        rng = np.random.default_rng(0)
-        draws = np.array([
-            k.apply(np.zeros(2), 1.0, np.ones(2), np.random.default_rng(i))[0]
-            for i in range(4000)
-        ])
-        assert draws[:, 0].mean() == pytest.approx(10.0, abs=0.1)
-        assert draws[:, 1].std() == pytest.approx(2.0, rel=0.05)
-
-    def test_rows_are_replicates(self):
-        # beta (R, p), phi (R,): each row is translated on its own noise row
-        k = TranslationKernel(bias=np.array([10.0, 0.0]), inflation=np.array([1.0, 2.0]),
-                              scale_sd=0.5)
-        beta, phi = k.apply(np.zeros((4000, 2)), np.ones(4000), np.ones((4000, 2)),
-                            np.random.default_rng(0))
-        assert beta.shape == (4000, 2) and phi.shape == (4000,)
-        assert beta[:, 0].mean() == pytest.approx(10.0, abs=0.1)
-        assert beta[:, 1].std() == pytest.approx(2.0, rel=0.05)
-        assert np.log(phi).std() == pytest.approx(0.5, rel=0.05)
-        head = k.apply(np.zeros((100, 2)), np.ones(100), np.ones((100, 2)),
-                       np.random.default_rng(0))
-        assert np.array_equal(head[0], beta[:100]) and np.array_equal(head[1], phi[:100])
-
-    def test_bias_alone_shifts_beta(self):
-        # a bias is a translation by itself: beta moves by the bias plus unit-
-        # inflation noise, and phi stays, since scale_sd is 0
-        beta, phi = TranslationKernel(bias=[10.0, 0.0]).apply(
-            np.zeros((4000, 2)), np.ones(4000), np.ones((4000, 2)), np.random.default_rng(1))
-        assert beta.mean(axis=0) == pytest.approx([10.0, 0.0], abs=0.1)
-        assert beta.std(axis=0) == pytest.approx([1.0, 1.0], rel=0.05)
-        assert np.array_equal(phi, np.ones(4000))
-
-    def test_validation(self):
-        with pytest.raises(pg.DomainError, match="inflation"):
-            TranslationKernel(inflation=np.array([0.0]))
-        for bad in (-0.1, float("nan")):
-            with pytest.raises(pg.DomainError, match="scale_sd"):
-                TranslationKernel(scale_sd=bad)
-
-
 class TestHarness:
     def test_deterministic_given_seed(self, credence_primary):
         data, fit = credence_primary
@@ -388,16 +338,17 @@ class TestHarness:
         ml_med = 10 ** (-rep.summaries["neglog10_p_quantiles"][0.5])
         assert abs(math.log10(med) - math.log10(ml_med)) < 1.0
 
-    def test_bayes_runs_on_the_replicates_ml_kept(self, trial_records):
+    def test_bayes_runs_on_the_replicates_ml_kept(self, trial_records, monkeypatch):
         # CREDENCE/dka has one placebo event; without the events guard many
         # replicates have none and fit at the boundary. The one batch fit
         # keeps the same replicates whether or not 'ml' is asked for, and the
         # order of the analysis tags changes nothing.
         data, _ = pg.trial_model_data(trial_records, "CREDENCE", "dka")
         fit = fit_irls("poisson", "log", data)
+        monkeypatch.setattr(replication, "MIN_EVENTS", 0)
         a, b, c = (run_replication(fit, "poisson", "log", data,
                                    ReplicationConfig(n_sim=100, seed=pg.RngStream(6),
-                                                     analyses=an, min_events_guard=0))
+                                                     analyses=an))
                    for an in (("bayes_flat", "ml"), ("ml", "bayes_flat"), ("bayes_flat",)))
         ml_failed = [r for r in a.records if r["failure_reason"] == "boundary"]
         assert ml_failed and not any("bayes_flat_pi" in r for r in ml_failed)
@@ -451,14 +402,14 @@ class TestHarness:
         assert rep.records[r]["bayes_student_t_pi"] == on_target
         assert on_target != pytest.approx(on_intercept, rel=0.05)
 
-    def test_failure_counts_sum_to_the_failed_fraction(self, trial_records):
+    def test_failure_counts_sum_to_the_failed_fraction(self, trial_records, monkeypatch):
         # CREDENCE/dka without the events guard: boundary fits among others;
         # the counts sit beside the summaries, so the CLI JSON does not change
         data, _ = pg.trial_model_data(trial_records, "CREDENCE", "dka")
         fit = fit_irls("poisson", "log", data)
+        monkeypatch.setattr(replication, "MIN_EVENTS", 0)
         rep = run_replication(fit, "poisson", "log", data,
-                              ReplicationConfig(n_sim=400, seed=pg.RngStream(6),
-                                                min_events_guard=0))
+                              ReplicationConfig(n_sim=400, seed=pg.RngStream(6)))
         counts = rep.failure_counts
         assert counts.get("boundary", 0) > 0 and "failure_counts" not in rep.summaries
         assert sum(counts.values()) == round(rep.summaries["fraction_failed"] * 400)
@@ -485,14 +436,14 @@ class TestHarness:
             run_replication(fit, "poisson", "log", data,
                             ReplicationConfig(n_sim=100, seed=pg.RngStream(1)))
 
-    def test_all_failures_raise(self):
+    def test_all_failures_raise(self, monkeypatch):
         data = ModelData(y=np.array([2.0, 3.0]), X=np.array([[1.0, 1.0], [1.0, 0.0]]))
         fit0 = fit_irls("poisson", "log", data)
         # a guard far above the attainable counts trips on every replicate
+        monkeypatch.setattr(replication, "MIN_EVENTS", 1000)
         with pytest.raises(pg.HarnessError):
             run_replication(fit0, "poisson", "log", data,
-                            ReplicationConfig(n_sim=100, seed=pg.RngStream(2),
-                                              min_events_guard=1000))
+                            ReplicationConfig(n_sim=100, seed=pg.RngStream(2)))
 
     def test_config_validation(self):
         with pytest.raises(pg.DomainError):
@@ -593,7 +544,8 @@ class TestHarness:
          lambda gen, arm: np.exp(1.0 + 0.5 * arm) + 0.3 * gen.standard_normal(arm.size)),
         ("gamma", "identity", None, lambda gen, arm: gen.gamma(16.0, (1.0 + arm) / 16.0)),
     ])
-    def test_replicates_follow_the_fitted_link(self, family, link, weights, draw):
+    def test_replicates_follow_the_fitted_link(self, family, link, weights, draw,
+                                               monkeypatch):
         # replicates simulated through the fitted link are fitted back on
         # target: the mean ML estimate sits on the mean generating beta. The
         # event guard is off, so no replicate is dropped for a zero count.
@@ -602,9 +554,9 @@ class TestHarness:
         data = ModelData(y=draw(np.random.default_rng(4), arm).astype(float), X=X,
                          weights=weights)
         fit = fit_irls(family, link, data)
+        monkeypatch.setattr(replication, "MIN_EVENTS", 0)
         rep = run_replication(fit, family, link, data,
-                              ReplicationConfig(n_sim=1000, seed=pg.RngStream(13),
-                                                min_events_guard=0))
+                              ReplicationConfig(n_sim=1000, seed=pg.RngStream(13)))
         good = [r for r in rep.records if not r["failed"]]
         est = np.array([r["ml_estimates"] for r in good])
         beta_g = np.array([r["beta_g"] for r in good])
@@ -636,13 +588,8 @@ class TestHarness:
         assert np.isnan(y).all()
         assert set(reasons) == {"simulation overflow"}
 
-    @pytest.mark.parametrize("family,link,kernel", [
-        ("poisson", "log", TranslationKernel()),
-        ("gamma", "log", TranslationKernel()),
-        ("gamma", "log", TranslationKernel(inflation=1.0, scale_sd=0.3)),
-    ])
-    def test_replicate_draws_do_not_depend_on_n_sim(self, trial_records, family, link,
-                                                    kernel):
+    @pytest.mark.parametrize("family,link", [("poisson", "log"), ("gamma", "log")])
+    def test_replicate_draws_do_not_depend_on_n_sim(self, trial_records, family, link):
         # each purpose draws one row per replicate from its own stream, so the
         # first 100 replicates of 300 are the replicates of a 100-replicate run
         if family == "poisson":
@@ -654,8 +601,8 @@ class TestHarness:
                              X=np.column_stack([np.ones(16), arm]))
         fit = fit_irls(family, link, data)
         short, long = (run_replication(fit, family, link, data,
-                                       ReplicationConfig(n_sim=n_sim, seed=pg.RngStream(3),
-                                                         kernel=kernel)).records
+                                       ReplicationConfig(n_sim=n_sim, seed=pg.RngStream(3))
+                                       ).records
                        for n_sim in (100, 300))
         assert any(r["failed"] for r in short) == (family == "poisson")
         for a, b in zip(short, long):
