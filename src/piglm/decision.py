@@ -29,7 +29,6 @@ class ClientParams:
     epsilon: float          # fractional gain when acting on a true finding
     epsilon_loss: float     # fractional loss when acting on a false one
     c: float                # fractional opportunity cost of sitting out
-    capital: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -38,8 +37,6 @@ class ClientParams:
             raise DomainError("epsilon_loss must be in (0, 1)")
         if not 0.0 <= self.c < 1.0:
             raise DomainError("c must be in [0, 1)")
-        if not 0 < self.capital < math.inf:
-            raise DomainError("capital must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,14 +109,14 @@ def recalibration_loss(analyst: AnalystParams, pi_crit: float) -> dict:
 
 
 def evaluate_decision(client: ClientParams, pi: float) -> dict:
-    """Expected log utilities of acting vs sitting out; ties resolve to sleep."""
+    """Expected log utilities of acting vs sitting out, at unit capital: a
+    capital C adds log C to both, so it cannot change the action. Ties resolve
+    to sleep."""
     if not 0.0 <= pi <= 1.0:
         raise DomainError("pi must be in [0, 1]")
-    m = client.capital
-    u_act = (1.0 - pi / 2.0) * math.log(m * (1.0 + client.epsilon)) + (
-        pi / 2.0
-    ) * math.log(m * (1.0 - client.epsilon_loss))
-    u_sleep = (1.0 - pi / 2.0) * math.log(m * (1.0 - client.c)) + (pi / 2.0) * math.log(m)
+    u_act = ((1.0 - pi / 2.0) * math.log(1.0 + client.epsilon)
+             + pi / 2.0 * math.log(1.0 - client.epsilon_loss))
+    u_sleep = (1.0 - pi / 2.0) * math.log(1.0 - client.c)
     return {
         "action": "act" if u_act > u_sleep else "sleep",
         "utilities": {"act": u_act, "sleep": u_sleep},

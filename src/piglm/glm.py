@@ -665,6 +665,8 @@ def likelihood_surface(family, link, data: ModelData, fit: FitResult,
         raise DomainError("boundary fit: supply an anchor point for the surface")
     if not all(0.0 < h < math.inf for h in half_widths):
         raise DomainError("surface half-widths must be finite and positive")
+    if resolution < 2:
+        raise DomainError(f"resolution must be at least 2, got {resolution}")
     center = np.asarray(anchor if anchor is not None else fit.beta_hat, dtype=float)
     mu, _ = _mu_from_beta(family, link, center, data)
     W = data.weights / (family.variance(mu) * link.gprime(mu) ** 2)

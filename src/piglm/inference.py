@@ -1,8 +1,9 @@
 """Tail-area inference: Wald p-values and posterior pi-values, each with its direction.
 
 A pi-value is twice the smaller of the two posterior tail probabilities
-around a reference coefficient value; under a locally uniform prior it
-coincides numerically with the two-sided Wald p-value.
+around a reference coefficient value. Under a locally uniform prior it is
+the two-sided Wald p-value, which ``wald_pvalue`` computes as the analytic
+pi-value of the flat-prior posterior.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class TailReport:
     direction: str                 # 'positive' or 'negative'
     p_or_pi: float
     method: str
-    dof: Optional[float] = None
 
 
 def _tail_report(lower: float, upper: float, z: float, method: str) -> TailReport:
@@ -45,27 +45,18 @@ def _tail_report(lower: float, upper: float, z: float, method: str) -> TailRepor
 
 
 def wald_pvalue(fit: FitResult, phi: float, index: int, beta0: float = 0.0,
-                dof: Optional[float] = None) -> TailReport:
+                dof: Optional[int] = None) -> TailReport:
     """Two-sided Wald test of beta_index = beta0 at scale phi.
 
-    The reference law is the standard normal when ``dof`` is None and
-    Student's t with ``dof`` degrees of freedom otherwise.
+    The p-value is the analytic pi-value of the flat-prior posterior
+    N(beta_hat, phi V) when ``dof`` is None, and of the t with ``dof``
+    degrees of freedom and that scale matrix otherwise.
     """
-    _check_index(index, fit.p)
     if not phi > 0:
         raise DomainError("phi must be positive")
-    if dof is not None and dof <= 0:
-        raise DegreesOfFreedomError("t reference needs dof > 0")
-    se = math.sqrt(phi * fit.cov_unscaled[index, index])
-    beta = float(fit.beta_hat[index])
-    z = (beta - beta0) / se
-    return TailReport(
-        z=z,
-        direction="negative" if z < 0 else "positive",
-        p_or_pi=two_sided_tail(beta, se, beta0, dof),
-        method="wald_normal" if dof is None else "wald_t",
-        dof=dof,
-    )
+    post = LaplacePosterior(fit.beta_hat, phi * fit.cov_unscaled, dof)
+    return dataclasses.replace(pi_value_analytic(post, index, beta0),
+                               method="wald_normal" if dof is None else "wald_t")
 
 
 def pi_value_analytic(posterior: LaplacePosterior, index: int, beta0: float = 0.0) -> TailReport:
@@ -79,7 +70,6 @@ def pi_value_analytic(posterior: LaplacePosterior, index: int, beta0: float = 0.
         direction="negative" if z < 0 else "positive",
         p_or_pi=two_sided_tail(mean, scale, beta0, posterior.dof),
         method="posterior_analytic",
-        dof=posterior.dof,
     )
 
 
@@ -94,31 +84,20 @@ def pi_value_from_grid(grid: GridPosterior, index: int, beta0: float = 0.0) -> T
 
 
 def pi_value_from_samples(samples: Sequence[float], beta0: float = 0.0,
-                          method: str = "empirical",
+                          method: str = "mixture",
                           stream: Optional[RngStream] = None) -> TailReport:
-    """pi-value from posterior draws.
+    """pi-value from posterior draws, smoothed with a Gaussian mixture so
+    extreme tails do not underflow to zero; 'mixture' is the only ``method``.
 
-    'empirical' counts tail fractions (floor 1/N each, so pi >= 2/N);
-    'mixture' smooths the draws with a Gaussian mixture first, so extreme
-    tails do not underflow to zero. The mixture needs at least
-    ``numerics.MIN_MIXTURE_SAMPLES`` draws (else ``DomainError``), not all
-    equal (else ``DegeneracyError``).
+    The draws must be finite and number at least
+    ``numerics.MIN_MIXTURE_SAMPLES`` (else ``DomainError``), not all equal
+    (else ``DegeneracyError``).
     """
-    x = np.asarray(samples, dtype=float).ravel()
-    n = x.size
-    if n == 0:
-        raise DomainError("no samples")
-    if not np.isfinite(x).all():
-        raise DomainError("samples must be finite")
-    z = (float(x.mean()) - beta0) / float(x.std()) if x.std() > 0 else 0.0
-    if method == "empirical":
-        frac_ge = float(np.mean(x >= beta0))
-        floor = 1.0 / n
-        return _tail_report(max(1.0 - frac_ge, floor), max(frac_ge, floor), z,
-                            "posterior_empirical")
     if method != "mixture":
-        raise DomainError("method must be 'empirical' or 'mixture'")
+        raise DomainError("method must be 'mixture'")
+    x = np.asarray(samples, dtype=float).ravel()
     lower, upper = mixture_tails(fit_gaussian_mixture_1d(x - beta0, stream=stream))
+    z = (float(x.mean()) - beta0) / float(x.std()) if x.std() > 0 else 0.0
     return _tail_report(lower, upper, z, "posterior_mixture")
 
 

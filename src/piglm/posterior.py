@@ -1,10 +1,9 @@
 """Bayesian posterior machinery for GLM coefficients.
 
 Covers the Gaussian/multivariate-t large-sample posterior with its scale
-marginal, empirical-Bayes plug-in scale, exact low-dimensional grid posteriors
-under arbitrary priors with their tail-decay impropriety test, a random-walk
-Metropolis sampler, and the normalized-likelihood density used to cross-check
-the two routes.
+marginal, exact low-dimensional grid posteriors under arbitrary priors with
+their tail-decay impropriety test, a random-walk Metropolis sampler, and the
+normalized-likelihood density used to cross-check the two routes.
 """
 
 from __future__ import annotations
@@ -104,7 +103,6 @@ class ScaleMarginal:
 class LaplaceResult:
     beta_posterior: LaplacePosterior
     scale_marginal: Optional[ScaleMarginal]
-    phi_map: float                 # empirical-Bayes plug-in scale
 
 
 def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
@@ -118,8 +116,7 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
     (D/dof) * cov_unscaled: integrating phi out of
     phi^(-n/2 - k) * exp(-(D + q)/(2 phi)), with k = 1 (jeffreys) or 0
     (uniform), leaves (D + q)^(-(dof + p)/2) (Gelman et al., Bayesian Data
-    Analysis, 3rd ed., sec. 14.2). The empirical-Bayes plug-in scale
-    phi_MAP = D/(n-p) (1 for fixed-scale families) is returned beside them.
+    Analysis, 3rd ed., sec. 14.2).
     """
     family = _resolve_family(family)
     if fit.boundary:
@@ -127,16 +124,15 @@ def laplace_posterior(fit: FitResult, scale_prior: Optional[ScalePriorSpec],
     if not fit.converged:
         raise BoundaryError("posterior unavailable for a non-converged fit")
     if family.known_scale:
-        return LaplaceResult(LaplacePosterior(fit.beta_hat, fit.cov_unscaled), None, 1.0)
+        return LaplaceResult(LaplacePosterior(fit.beta_hat, fit.cov_unscaled), None)
     n, p = fit.n, fit.p
     kind = scale_prior.kind if scale_prior is not None else "jeffreys"
     dof = (n - p) if kind == "jeffreys" else (n - p - 2)
     if dof <= 0:
         raise DegreesOfFreedomError("scale marginal needs positive dof")
-    phi_map = fit.deviance / (n - p)
     marginal = ScaleMarginal.from_deviance(fit.deviance, dof)
     beta_post = LaplacePosterior(fit.beta_hat, marginal.scale * fit.cov_unscaled, dof)
-    return LaplaceResult(beta_post, marginal, phi_map)
+    return LaplaceResult(beta_post, marginal)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -189,6 +189,8 @@ def local_uniformity_check(spec: PriorSpec, interval: Tuple[float, float],
     lo, hi = interval
     if not -math.inf < lo < hi < math.inf:
         raise DomainError("local uniformity check needs a finite interval lo < hi")
+    if resolution < 2:
+        raise DomainError(f"resolution must be at least 2, got {resolution}")
     grid = np.linspace(lo, hi, resolution)
     dens = np.asarray(prior_pdf(spec, grid), dtype=float)
     if np.any(dens <= 0.0):

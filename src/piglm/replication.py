@@ -15,7 +15,7 @@ import collections
 import dataclasses
 import functools
 import math
-from typing import Optional
+import numbers
 
 import numpy as np
 from scipy import special
@@ -26,7 +26,7 @@ from .inference import pi_value_from_grid
 from .numerics import (RngStream, gauss_legendre, std_normal_cdf, std_normal_logcdf,
                        std_normal_quantile, two_sided_tail)
 from .posterior import _summed_intercept, grid_posterior, laplace_posterior, vectorized_loglik
-from .priors import PriorSpec, ScalePriorSpec
+from .priors import PriorSpec
 
 __all__ = [
     "ReplicationConfig",
@@ -187,6 +187,8 @@ def rpd_curve(pi_init: float, cap: float = 30.0, resolution: int = 2001) -> RpdC
     """
     if not 0.0 < cap < math.inf:
         raise DomainError("rpd cap must be finite and positive")
+    if resolution < 2:
+        raise DomainError(f"resolution must be at least 2, got {resolution}")
     grid = np.linspace(0.0, cap, resolution)
     pdf = rpd_pdf(grid, pi_init)
     cdf = rpd_cdf(grid, pi_init)
@@ -201,13 +203,11 @@ class ReplicationConfig:
     n_sim: int
     seed: RngStream
     analyses: tuple = ("ml",)                       # 'ml', 'bayes_flat', ('bayes_student_t', df, scale)
-    target_index: int = -1                          # coefficient whose p/pi is summarized
-    scale_prior: Optional[ScalePriorSpec] = None    # sets the phi marginal; None is jeffreys
     n_workers: int = 1                              # accepted only as 1; see __post_init__
 
     def __post_init__(self):
-        if self.n_sim < MIN_N_SIM:
-            raise DomainError(f"n_sim must be >= {MIN_N_SIM}")
+        if not isinstance(self.n_sim, numbers.Integral) or self.n_sim < MIN_N_SIM:
+            raise DomainError(f"n_sim must be an integer >= {MIN_N_SIM}, got {self.n_sim!r}")
         if self.n_workers != 1:
             # replicates are fitted in one batch; the thread pool measured slower than serial
             raise DomainError("n_workers must be 1")
@@ -246,8 +246,8 @@ class ReplicationReport:
 
 
 def _bayes_prior(tag):
-    """Summary key and target-coefficient prior (None: flat) of a Bayes analysis
-    tag; DomainError for any other tag."""
+    """Summary key and prior (None: flat) on the last coefficient of a Bayes
+    analysis tag; DomainError for any other tag."""
     if tag == "bayes_flat":
         return tag, None
     if isinstance(tag, tuple) and len(tag) == 3 and tag[0] == "bayes_student_t":
@@ -261,9 +261,9 @@ def _simulate(family, link, data: ModelData, initial: FitResult, scale, config):
     Exact replication: replicate r is generated by one draw (beta_g, phi_g) of
     the initial posterior. Each purpose fills one row per replicate, in
     replicate order, from its own child stream of the seed: phi_g (1: draws of
-    the scale marginal ``scale``, or ones when it is None), beta_g (2) and the
-    responses (4, around the means of the fitted link), so replicate r does
-    not depend on n_sim. Returns beta_g (R, p), phi_g (R,), the responses
+    the jeffreys scale marginal ``scale``, or ones when it is None), beta_g
+    (2) and the responses (4, around the means of the fitted link), so
+    replicate r does not depend on n_sim. Returns beta_g (R, p), phi_g (R,), the responses
     (R, n) and the failure reasons ("" for none).
     """
     n_sim, seed, L = config.n_sim, config.seed, np.linalg.cholesky(initial.cov_unscaled)
@@ -297,9 +297,9 @@ def _fit_failure_reasons(bf) -> np.ndarray:
 def run_replication(initial: FitResult, family, link, data: ModelData,
                     config: ReplicationConfig) -> ReplicationReport:
     """Hierarchical replicate simulation: draw generating parameters from the
-    initial posterior (phi from ``laplace_posterior``'s scale marginal),
-    simulate replicate data on the initial design, fit, re-run each
-    configured analysis, and summarize.
+    initial posterior (phi from ``laplace_posterior``'s jeffreys scale
+    marginal), simulate replicate data on the initial design, fit, re-run each
+    configured analysis on the last coefficient, and summarize.
 
     Every replicate is simulated first, as arrays with one child stream of the
     config's seed per purpose (see ``_simulate``), so the result is
@@ -309,35 +309,33 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     ML analysis takes Wald p-values at phi_r (a p that underflows past the
     smallest normal double gets its -log10 quantiles from log Phi of the Wald
     z, so the far tail stays exact); each Bayes analysis takes the
-    grid pi-value at phi_r, its prior on the target, over +-8 se of the initial
-    fit at its plug-in scale. Failed replicates are flagged with a reason
+    grid pi-value at phi_r, its prior on the last coefficient, over +-8 se of
+    the initial fit at its plug-in scale D/(n - p) (1 for known scale).
+    Failed replicates are flagged with a reason
     ("mean outside family domain" when the link maps the generating
     coefficients off the family's means, "simulation overflow" when the
     sampler cannot draw a response, "too few events", "fit error" when IRLS
     took no step, "boundary", "non-convergence"), counted in
-    ``failure_counts`` and excluded from summaries. A Bayes analysis whose
-    target is the intercept that its grid sums out (see
+    ``failure_counts`` and excluded from summaries. A Bayes analysis on a
+    design whose last column is the intercept that its grid sums out (see
     ``posterior.grid_posterior``) has no pi-value, and raises ``DomainError``
     before anything is simulated. The report holds the replicates as arrays;
     its per-replicate ``records`` are built only when read.
     """
     family, link = _resolve(family, link)
-    post = laplace_posterior(initial, config.scale_prior, family)     # checks fit and dof
-    j = config.target_index
-    if not -data.p <= j < data.p:
-        raise DomainError(f"target_index {j} out of range for p = {data.p}")
+    scale = laplace_posterior(initial, None, family).scale_marginal   # checks fit and dof
+    j = -1                                          # the summarized coefficient
     bayes = []                                      # (summary key, per-parameter priors)
     for tag in config.analyses:
         if tag != "ml":
             key, prior = _bayes_prior(tag)
-            priors = [None] * data.p
-            priors[j] = prior
+            priors = [None] * (data.p - 1) + [prior]
             summed = _summed_intercept(vectorized_loglik(family, link, data), priors)
-            if summed is not None and summed.index == j % data.p:
-                raise DomainError(f"target_index {j} is the intercept that the {key} grid "
+            if summed is not None and summed.index == data.p - 1:
+                raise DomainError(f"the last coefficient is the intercept that the {key} grid "
                                   "sums out; it has no marginal")
             bayes.append((key, priors))
-    beta_g, phi_g, y, reasons = _simulate(family, link, data, initial, post.scale_marginal, config)
+    beta_g, phi_g, y, reasons = _simulate(family, link, data, initial, scale, config)
     kept = np.flatnonzero(reasons == "")
     bf = fit_irls_batch(family, link, y[kept], data.X, data.offset, data.weights)
     reasons[kept] = _fit_failure_reasons(bf)
@@ -345,6 +343,7 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
     kept = kept[ok]
     if not kept.size:
         raise HarnessError("every replicate failed")
+    phi_init = 1.0 if family.known_scale else initial.deviance / (data.n - data.p)
     phi = np.ones(kept.size) if family.known_scale else bf.deviance[ok] / (data.n - data.p)
     results = {}                                    # per kept replicate, in the order of kept
     if "ml" in config.analyses:
@@ -352,7 +351,7 @@ def run_replication(initial: FitResult, family, link, data: ModelData,
         se = np.sqrt(phi[:, None] * np.diagonal(bf.cov_unscaled[ok], axis1=1, axis2=2))
         results["ml_p"] = two_sided_tail(est, se)
     bounds = [(b - 8.0 * s, b + 8.0 * s)
-              for b, s in zip(initial.beta_hat, initial.se(post.phi_map))]
+              for b, s in zip(initial.beta_hat, initial.se(phi_init))]
     for key, priors in bayes:
         pis = results[f"{key}_pi"] = []
         for i, phi_r in zip(kept, phi):

@@ -34,10 +34,19 @@ class TestCriticalThreshold:
            st.floats(min_value=0.01, max_value=1e6))
     @settings(max_examples=60, deadline=None)
     def test_capital_invariance_and_range(self, eps, eps_loss, c, capital):
-        a = pi_critical(ClientParams(epsilon=eps, epsilon_loss=eps_loss, c=c, capital=1.0))
-        b = pi_critical(ClientParams(epsilon=eps, epsilon_loss=eps_loss, c=c, capital=capital))
-        assert a == b
-        assert 0.0 < a <= 1.0
+        # the client holds no capital: at capital C each expected log utility
+        # gains log C, so the act-sleep margin, and with it the threshold, is
+        # the unit-capital one that evaluate_decision reports
+        client = ClientParams(epsilon=eps, epsilon_loss=eps_loss, c=c)
+        crit = pi_critical(client)
+        assert 0.0 < crit <= 1.0
+        for pi in (0.0, crit / 2.0, crit, 1.0):
+            h = pi / 2.0
+            act = (1.0 - h) * math.log(capital * (1.0 + eps)) + h * math.log(
+                capital * (1.0 - eps_loss))
+            sleep = (1.0 - h) * math.log(capital * (1.0 - c)) + h * math.log(capital)
+            u = evaluate_decision(client, pi)["utilities"]
+            assert act - sleep == pytest.approx(u["act"] - u["sleep"], rel=1e-9, abs=1e-12)
 
     def test_threshold_grows_with_opportunity_cost(self):
         lo = pi_critical(ClientParams(epsilon=0.01, epsilon_loss=0.5, c=0.0))
@@ -94,7 +103,7 @@ class TestDecision:
     def test_tie_resolves_to_sleep(self):
         # exact bitwise tie: unit capital, free sitting out, and a gamble whose
         # log win and log loss cancel exactly at pi = 1
-        client = ClientParams(epsilon=1.0, epsilon_loss=0.5, c=0.0, capital=1.0)
+        client = ClientParams(epsilon=1.0, epsilon_loss=0.5, c=0.0)
         out = evaluate_decision(client, 1.0)
         assert out["utilities"]["act"] == out["utilities"]["sleep"]
         assert out["action"] == "sleep"
@@ -126,11 +135,10 @@ class TestDecision:
         with pytest.raises(pg.DomainError):
             AnalystParams(capital=10.0, alpha=1.0, utility="custom")
 
-    @pytest.mark.parametrize("field,value", [("epsilon", math.inf), ("epsilon", math.nan),
-                                             ("capital", math.inf), ("capital", math.nan)])
+    @pytest.mark.parametrize("field,value", [("epsilon", math.inf), ("epsilon", math.nan)])
     def test_client_fields_must_be_finite(self, field, value):
-        # an infinite gain acted with "act": Infinity; an infinite capital gave NaN utilities
-        kwargs = {"epsilon": 0.01, "epsilon_loss": 0.5, "c": 0.001, "capital": 1.0, field: value}
+        # an infinite gain acted with "act": Infinity
+        kwargs = {"epsilon": 0.01, "epsilon_loss": 0.5, "c": 0.001, field: value}
         with pytest.raises(pg.DomainError, match=field):
             ClientParams(**kwargs)
 

@@ -30,7 +30,7 @@ class TestWald:
         data, fit = credence_primary
         rep = wald_pvalue(fit, 1.0, 1, dof=8)
         assert rep.p_or_pi == pytest.approx(2 * stats.t.cdf(rep.z, 8), rel=1e-10)
-        assert (rep.method, rep.dof) == ("wald_t", 8)
+        assert rep.method == "wald_t"
         assert wald_pvalue(fit, 1.0, 1).method == "wald_normal"
         with pytest.raises(pg.DegreesOfFreedomError):
             wald_pvalue(fit, 1.0, 1, dof=0)
@@ -117,15 +117,16 @@ class TestPiValue:
         assert pis[0] == pytest.approx(exact, rel=1e-3, abs=0.0)
         assert pis[1] == pytest.approx(pis[0], rel=1e-12, abs=0.0)
 
-    def test_empirical_floor(self, rng):
-        x = rng.normal(10.0, 1.0, 500)      # no draws below zero
-        rep = pi_value_from_samples(x)
-        assert rep.p_or_pi == 2.0 / 500
-        assert rep.direction == "positive"
-
     def test_mixture_needs_enough_samples(self, rng):
         with pytest.raises(pg.DomainError):
             pi_value_from_samples(rng.normal(0, 1, 999), method="mixture")
+
+    def test_mixture_is_the_only_method(self, rng):
+        # the tail fractions of the draws are not a route: they floor pi at 2/N
+        x = rng.normal(1.0, 1.0, 2000)
+        assert pi_value_from_samples(x).method == "posterior_mixture"
+        with pytest.raises(pg.DomainError, match="method"):
+            pi_value_from_samples(x, method="empirical")
 
     def test_mixture_beats_empirical_floor_in_far_tail(self, rng):
         x = rng.normal(4.5, 1.0, 5000)
@@ -193,7 +194,7 @@ class TestPiValue:
         with pytest.raises(pg.DomainError):
             pi_value_from_samples([])
 
-    @pytest.mark.parametrize("method", ["empirical", "mixture"])
+    @pytest.mark.parametrize("method", ["mixture"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_samples(self, rng, method, bad):
         x = rng.normal(1.0, 1.0, 2000)

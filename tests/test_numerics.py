@@ -148,6 +148,14 @@ class TestMixture:
         assert model.means[0] == pytest.approx(-0.3, abs=0.01)
         assert model.sds[0] == pytest.approx(0.08, rel=0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_draws_rejected(self, rng, bad):
+        # one bad draw among 1500 gave a one-component model with a NaN or
+        # infinite mean and a NaN BIC
+        x = np.append(rng.normal(0.0, 1.0, 1500), bad)
+        with pytest.raises(pg.DomainError, match="finite"):
+            pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(1, 1))
+
     def test_bimodal_recovery(self, rng):
         x = np.concatenate([rng.normal(-2.0, 0.5, 3000), rng.normal(1.5, 0.3, 2000)])
         model = pg.fit_gaussian_mixture_1d(x, stream=pg.RngStream(1, 2))

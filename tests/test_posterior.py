@@ -48,7 +48,6 @@ class TestLargeSamplePosterior:
         assert res.beta_posterior.cov == pytest.approx(s2 * fit.cov_unscaled, rel=1e-12)
         assert res.scale_marginal.dof == n - p
         assert res.scale_marginal.scale == pytest.approx(s2, rel=1e-12)
-        assert res.phi_map == pytest.approx(s2, rel=1e-12)
         # marginal cdf agrees with an independent reference t distribution
         x = fit.beta_hat[1] + 0.7
         scale = math.sqrt(s2 * fit.cov_unscaled[1, 1])
@@ -76,11 +75,15 @@ class TestLargeSamplePosterior:
             laplace_posterior(fit, None, "poisson")
 
     def test_sampling_moments(self, gaussian_fit):
+        # scaled-inverse-chi-square(dof, D/dof) has mean D/(dof - 2): the scale
+        # must follow the dof of either scale prior. The relative Monte Carlo
+        # error of the mean is sqrt(2/(dof-4)/40000), at most 0.2%
         data, fit = gaussian_fit
-        res = laplace_posterior(fit, pg.ScalePriorSpec("jeffreys"), "gaussian")
-        phi = res.scale_marginal.sample(40000, pg.RngStream(3, 2))
-        dof, sc = res.scale_marginal.dof, res.scale_marginal.scale
-        assert phi.mean() == pytest.approx(dof * sc / (dof - 2), rel=0.05)
+        for kind, dof in (("jeffreys", data.n - data.p), ("uniform", data.n - data.p - 2)):
+            res = laplace_posterior(fit, pg.ScalePriorSpec(kind), "gaussian")
+            phi = res.scale_marginal.sample(40000, pg.RngStream(3, 2))
+            assert res.scale_marginal.dof == dof
+            assert phi.mean() == pytest.approx(fit.deviance / (dof - 2), rel=0.01)
 
 
 def _marginal_cdf(post, index, x):
@@ -459,6 +462,24 @@ class TestGridPosterior:
     def test_peak_memory_of_a_reduced_801_grid(self, credence_primary):
         # with the intercept summed out, no array is 801^2
         assert self._peak_memory(credence_primary, [None, None]) < 8 * 801**2
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -1])
+@pytest.mark.parametrize("route", ["surface", "rpd", "prior_check"])
+def test_resolution_below_two_refused(credence_primary, route, resolution):
+    # grid_posterior's rule on the other grids: a 1-node rpd curve reported a
+    # total mass of 3.4e-8 and a 1-node prior check called any prior uniform,
+    # while the surface died in a zero division or in numpy
+    data, fit = credence_primary
+    prior = pg.PriorSpec("test_fixed_sigma", beta0=0.0, sigma=1.0)
+    calls = {
+        "surface": lambda: pg.likelihood_surface("poisson", "log", data, fit,
+                                                 resolution=resolution),
+        "rpd": lambda: pg.rpd_curve(1e-4, resolution=resolution),
+        "prior_check": lambda: pg.local_uniformity_check(prior, (-1.0, 1.0), resolution),
+    }
+    with pytest.raises(pg.DomainError, match="resolution"):
+        calls[route]()
 
 
 class TestSummedIntercept:

@@ -7,6 +7,9 @@ A name in a module's ``__all__`` that only tests call is dead weight unless an
 acceptance criterion uses it; those few are listed with their criterion. The
 same holds for the methods, properties and dataclass fields of public classes,
 where a few diagnostics that only a reader of the result needs are listed too.
+A defaulted parameter or dataclass field that no call in the program or the
+benchmark sets is a setting only tests change; those few are listed with the
+reason they stay.
 """
 
 import ast
@@ -39,6 +42,16 @@ DIAGNOSTIC_MEMBERS = {
     "MixtureStage.start_iters": "how long each EM start of a stage ran",
     "MixtureStage.n_barred": "how many EM starts of a stage the BIC bar stopped",
     "ReplicationReport.failure_counts": "why the failed replicates failed",
+}
+
+
+# Defaulted parameters of public functions and defaulted fields of public
+# dataclasses that no call in the program or the benchmark sets.
+SETTINGS = {
+    "wald_pvalue.beta0": "the null value in the test's definition",
+    "wald_pvalue.dof": "the t-reference p that the jeffreys pi equals",
+    "pi_value_from_grid.beta0": "the null value in the pi-value's definition",
+    "ReplicationConfig.analyses": "the Bayes replication route of ROADMAP item 4",
 }
 
 
@@ -159,3 +172,67 @@ def test_criterion_only_names_are_used_by_their_criterion():
         # a criterion may reach the name through a module-level helper it calls
         reached = _names([body]) | _names(h for h in helpers if h.name in _names([body]))
         assert name in reached, (name, number)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+
+
+def _defaulted(tree):
+    """(owner, name, position) of each defaulted parameter of a public function and
+    each defaulted field of a public dataclass; position is None for keyword-only."""
+    exported = _exported(tree)
+    for node in tree.body:
+        if getattr(node, "name", None) not in exported:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, a in enumerate(positional[first:], first):
+                yield node.name, a.arg, i
+            for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                if d is not None:
+                    yield node.name, a.arg, None
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    yield node.name, f.target.id, i
+
+
+def _settings_set(nodes):
+    """What the nodes' calls set: (callee, keyword) and (callee, position) pairs,
+    the callees given ``*`` or ``**`` arguments, and the keywords passed to
+    ``dataclasses.replace``."""
+    pairs, everything, replaced = set(), set(), set()
+    for top in nodes:
+        for n in ast.walk(top):
+            if not isinstance(n, ast.Call):
+                continue
+            callee = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+            if callee == "replace":
+                replaced.update(k.arg for k in n.keywords)
+            if any(isinstance(a, ast.Starred) for a in n.args) or any(
+                    k.arg is None for k in n.keywords):
+                everything.add(callee)
+            pairs.update((callee, i) for i in range(len(n.args)))
+            pairs.update((callee, k.arg) for k in n.keywords)
+    return pairs, everything, replaced
+
+
+def _unset_settings() -> set:
+    """Defaulted parameters and fields that no call in the program or the benchmark sets."""
+    trees = [ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    bench = [ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")]
+    pairs, everything, replaced = _settings_set(trees + bench)
+    return {f"{owner}.{name}" for tree in trees for owner, name, i in _defaulted(tree)
+            if owner not in everything and (owner, name) not in pairs
+            and (owner, i) not in pairs and name not in replaced}
+
+
+def test_every_setting_is_set_by_a_caller():
+    unset = _unset_settings()
+    unlisted, stale = sorted(unset - set(SETTINGS)), sorted(set(SETTINGS) - unset)
+    assert not unlisted, f"a default that only tests change: {unlisted}"
+    assert not stale, f"listed, but set by the program: {stale}"
